@@ -38,7 +38,8 @@ def _read_formula(args: argparse.Namespace) -> Formula:
         with open(args.formula_file) as fh:
             text = fh.read()
     if text is None:
-        raise ParseError("no formula given (use --formula or --formula-file)")
+        raise ParseError("no formula given (use --formula or --formula-file)",
+                         line=1, column=1)
     return parse(text)
 
 
@@ -101,7 +102,11 @@ def _depth_fn(spec_text: str, k: int) -> muddymod.DepthFn:
         if len(values) == 1:
             values = values * k
         if len(values) != k:
-            raise ParseError(f"--depths needs {k} values, got {len(values)}")
+            # point at the first surplus value, or past the end
+            column = (len(",".join(spec_text.split(",")[:k])) + 2
+                      if len(values) > k else len(spec_text) + 1)
+            raise ParseError(f"--depths needs {k} values, got {len(values)}",
+                             line=1, column=column)
         return muddymod.constant_depths(values)
     expr = compile(spec_text, "<depths>", "eval")
 

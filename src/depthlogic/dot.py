@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .model import EQUIVALENCE, Model, closed_pairs
-from .semantics import SemanticsKind, check_naive, update
+from .semantics import SemanticsKind, check_naive, dpal_copy, update
 from .syntax import Formula, to_text
 
 # Fixed palette, cycled per agent.
@@ -16,8 +16,8 @@ def agent_color(a: int) -> str:
 
 
 def _copy_prefix(state: str) -> str:
-    head, _, _ = state.partition(".")
-    return head if head in ("0", "1") else ""
+    head = state[:2]
+    return head if head in (dpal_copy("", False), dpal_copy("", True)) else ""
 
 
 def _node_lines(m: Model, prefix: str, designated: str | None) -> list[str]:
@@ -77,7 +77,7 @@ def announcement_steps(m: Model, announcements: list[Formula],
         cur = update(cur, phi, kind, truth=truth)
         if here is not None:
             if kind is SemanticsKind.DPAL:
-                here = "1." + here if truth[here] else "0." + here
+                here = dpal_copy(here, truth[here])
             elif kind is SemanticsKind.EDPAL:
                 here = here if truth[here] else None
         steps.append((cur, here))

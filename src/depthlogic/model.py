@@ -1,9 +1,13 @@
 """Kripke structures with per-agent, per-state depths.
 
-Relations are stored as explicit pair sets without reflexive loops; loops are
-implicit.  Equivalence-mode models are expected to carry symmetrically and
-transitively closed pair sets (``validate`` reports the first violation),
-reflexive-mode models may carry arbitrary directed pairs.
+Equivalence-mode relations are stored as partitions: one class id per state
+index for each agent.  ``classes``, ``successors`` and ``model_size`` read
+those ids; explicit pairs exist only on output (``to_dict``, DOT export,
+``validate``), built from the classes on first use.  A model built from pairs
+keeps them as given, so ``validate`` reports the first violation of an
+unclosed relation; its classes are the connected components of the
+symmetrized pairs.  Reflexive-mode models store arbitrary directed pairs.
+Reflexive loops are implicit and never stored.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Container, Hashable, Iterable, Mapping, Sequence
 
 EQUIVALENCE = "equivalence"
 REFLEXIVE = "reflexive"
@@ -25,18 +29,25 @@ Pair = tuple[str, str]
 
 
 class Model:
-    """Immutable pointed-model substrate: states, valuation, relations, depths."""
+    """Immutable pointed-model substrate: states, valuation, relations, depths.
 
-    __slots__ = ("agents", "states", "mode", "_val", "_rel", "_depth",
-                 "_index", "_succ", "_classes")
+    Relations come either as ``rel`` (non-loop pairs per agent) or, in
+    equivalence mode, as ``class_ids`` (per agent, one hashable class id per
+    state, equal ids meaning the same class).
+    """
+
+    __slots__ = ("agents", "states", "mode", "_val", "_rel", "_ids",
+                 "_depth", "_index", "_succ", "_classes")
 
     def __init__(self,
                  agents: int,
                  states: Iterable[str],
                  val: Mapping[str, Iterable[str]],
-                 rel: Mapping[int, Iterable[Pair]],
-                 depth: Mapping[int, Mapping[str, int]],
-                 mode: str = EQUIVALENCE):
+                 rel: Mapping[int, Iterable[Pair]] | None = None,
+                 depth: Mapping[int, Mapping[str, int]] | None = None,
+                 mode: str = EQUIVALENCE,
+                 *,
+                 class_ids: Mapping[int, Sequence[Hashable]] | None = None):
         states = tuple(states)
         if len(set(states)) != len(states):
             raise ModelError("duplicate state names")
@@ -53,18 +64,42 @@ class Model:
         for s in val:
             if s not in index:
                 raise ModelError(f"valuation for unknown state {s!r}")
-        rmap = {}
-        for a in range(agents):
-            pairs = set()
-            for s, t in rel.get(a, ()):
-                if s not in index or t not in index:
-                    raise ModelError(f"relation pair ({s!r}, {t!r}) uses unknown state")
-                if s != t:
-                    pairs.add((s, t))
-            rmap[a] = frozenset(pairs)
-        for a in rel:
+        rmap: dict[int, frozenset[Pair]] = {}
+        ids: dict[int, tuple[int, ...]] = {}
+        if class_ids is not None:
+            if rel is not None or mode != EQUIVALENCE:
+                raise ModelError(
+                    "class_ids replaces rel and needs equivalence mode")
+            for a, column in class_ids.items():
+                if not 0 <= a < agents:
+                    raise ModelError(f"relation for unknown agent {a}")
+                if len(column) != len(states):
+                    raise ModelError(f"agent {a} needs one class id per state")
+            for a in range(agents):
+                column = class_ids.get(a)
+                ids[a] = (tuple(range(len(states))) if column is None
+                          else _first_index_ids(column))
+        else:
+            rel = rel or {}
+            for a in range(agents):
+                pairs = set()
+                for s, t in rel.get(a, ()):
+                    if s not in index or t not in index:
+                        raise ModelError(
+                            f"relation pair ({s!r}, {t!r}) uses unknown state")
+                    if s != t:
+                        pairs.add((s, t))
+                rmap[a] = frozenset(pairs)
+            for a in rel:
+                if not 0 <= a < agents:
+                    raise ModelError(f"relation for unknown agent {a}")
+        depth = depth or {}
+        for a, da in depth.items():
             if not 0 <= a < agents:
-                raise ModelError(f"relation for unknown agent {a}")
+                raise ModelError(f"depth for unknown agent {a}")
+            unknown = da.keys() - index.keys()
+            if unknown:
+                raise ModelError(f"depth for unknown state {min(unknown)!r}")
         dmap = {}
         for a in range(agents):
             da = depth.get(a, {})
@@ -74,6 +109,7 @@ class Model:
         self.mode = mode
         self._val = vmap
         self._rel = rmap
+        self._ids = ids
         self._depth = dmap
         self._index = index
         self._succ: dict[int, dict[str, frozenset[str]]] = {}
@@ -88,7 +124,11 @@ class Model:
         return self._depth[agent][state]
 
     def pairs(self, agent: int) -> frozenset[Pair]:
-        return self._rel[agent]
+        """Non-loop pairs: as given, or built from the classes."""
+        pairs = self._rel.get(agent)
+        if pairs is None:
+            pairs = self._rel[agent] = closed_pairs(self.classes(agent))
+        return pairs
 
     def has_state(self, state: str) -> bool:
         return state in self._index
@@ -96,48 +136,95 @@ class Model:
     def state_index(self, state: str) -> int:
         return self._index[state]
 
+    def class_ids(self, agent: int) -> tuple[int, ...]:
+        """Per state index, the index of the first state of its class (see
+        ``classes``)."""
+        ids = self._ids.get(agent)
+        if ids is None:
+            ids = self._ids[agent] = _components(self._index, self._rel[agent])
+        return ids
+
     def successors(self, agent: int, state: str) -> frozenset[str]:
-        """States the agent considers possible at ``state`` (includes itself)."""
+        """States the agent considers possible at ``state`` (includes itself):
+        its class in equivalence mode, its direct successors otherwise."""
         cache = self._succ.get(agent)
         if cache is None:
-            cache = {s: set((s,)) for s in self.states}
-            for s, t in self._rel[agent]:
-                cache[s].add(t)
-            cache = {s: frozenset(ts) for s, ts in cache.items()}
+            if self.mode == EQUIVALENCE:
+                cache = {s: cls for cls in self.classes(agent) for s in cls}
+            else:
+                sets = {s: {s} for s in self.states}
+                for s, t in self._rel[agent]:
+                    sets[s].add(t)
+                cache = {s: frozenset(ts) for s, ts in sets.items()}
             self._succ[agent] = cache
         return cache[state]
 
     def classes(self, agent: int) -> tuple[frozenset[str], ...]:
-        """Connected components of the symmetrized relation, in state order."""
+        """The agent's partition (in reflexive mode: the connected components
+        of the symmetrized relation), in state order."""
         cached = self._classes.get(agent)
         if cached is not None:
             return cached
-        neigh: dict[str, set[str]] = {s: set() for s in self.states}
-        for s, t in self._rel[agent]:
-            neigh[s].add(t)
-            neigh[t].add(s)
-        seen: set[str] = set()
-        out = []
-        for s in self.states:
-            if s in seen:
-                continue
-            comp = {s}
-            frontier = [s]
-            while frontier:
-                u = frontier.pop()
-                for v in neigh[u]:
-                    if v not in comp:
-                        comp.add(v)
-                        frontier.append(v)
-            seen |= comp
-            out.append(frozenset(comp))
-        result = tuple(out)
+        groups: dict[int, list[str]] = {}
+        for s, c in zip(self.states, self.class_ids(agent)):
+            groups.setdefault(c, []).append(s)
+        result = tuple(frozenset(g) for g in groups.values())
         self._classes[agent] = result
         return result
+
+    def restrict(self, keep: Container[str] | None = None,
+                 depth: Callable[[int, str], int] | None = None) -> Model:
+        """The submodel on the states in ``keep`` (default: all), in this
+        model's order, with depths ``depth(agent, state)`` (default: these).
+        Equivalence classes are restricted, so an unclosed relation given as
+        pairs is restricted as its closure."""
+        idx = [i for i, s in enumerate(self.states)
+               if keep is None or s in keep]
+        states = [self.states[i] for i in idx]
+        depth = depth or self.depth
+        dmap = {a: {s: depth(a, s) for s in states}
+                for a in range(self.agents)}
+        val = {s: self._val[s] for s in states}
+        if self.mode == EQUIVALENCE:
+            ids = {a: [self.class_ids(a)[i] for i in idx]
+                   for a in range(self.agents)}
+            return Model(self.agents, states, val, depth=dmap, class_ids=ids)
+        kept = set(states)
+        rel = {a: [(s, t) for s, t in self._rel[a] if s in kept and t in kept]
+               for a in range(self.agents)}
+        return Model(self.agents, states, val, rel, dmap, REFLEXIVE)
 
     def __repr__(self) -> str:
         return (f"Model(agents={self.agents}, states={len(self.states)}, "
                 f"mode={self.mode!r})")
+
+
+def _first_index_ids(column: Sequence[Hashable]) -> tuple[int, ...]:
+    first: dict[Hashable, int] = {}
+    return tuple(first.setdefault(c, i) for i, c in enumerate(column))
+
+
+def _components(index: Mapping[str, int], pairs: Iterable[Pair]
+                ) -> tuple[int, ...]:
+    """Class ids (as ``Model.class_ids``) of the connected components of the
+    symmetrized pairs."""
+    neigh: list[list[int]] = [[] for _ in index]
+    for s, t in pairs:
+        i, j = index[s], index[t]
+        neigh[i].append(j)
+        neigh[j].append(i)
+    ids = [-1] * len(neigh)
+    for i in range(len(neigh)):
+        if ids[i] >= 0:
+            continue
+        ids[i] = i
+        frontier = [i]
+        while frontier:
+            for v in neigh[frontier.pop()]:
+                if ids[v] < 0:
+                    ids[v] = i
+                    frontier.append(v)
+    return tuple(ids)
 
 
 @dataclass(frozen=True)
@@ -198,10 +285,7 @@ def connected_component(m: Model, state: str, agent: int) -> frozenset[str]:
     if not m.has_state(state):
         raise ModelError(f"unknown state {state!r}")
     if m.mode == EQUIVALENCE:
-        for cls in m.classes(agent):
-            if state in cls:
-                return cls
-        raise AssertionError("state not covered by classes")
+        return m.successors(agent, state)
     reached = {state}
     frontier = [state]
     while frontier:
@@ -264,29 +348,6 @@ def save_model(m: Model, path: str) -> None:
         fh.write(canonical_json(m))
 
 
-def _closure(states: Iterable[str], pairs: Iterable[Pair]) -> frozenset[Pair]:
-    neigh: dict[str, set[str]] = {s: set() for s in states}
-    for s, t in pairs:
-        neigh[s].add(t)
-        neigh[t].add(s)
-    classes = []
-    seen: set[str] = set()
-    for s in neigh:
-        if s in seen:
-            continue
-        comp = {s}
-        frontier = [s]
-        while frontier:
-            u = frontier.pop()
-            for v in neigh[u]:
-                if v not in comp:
-                    comp.add(v)
-                    frontier.append(v)
-        seen |= comp
-        classes.append(comp)
-    return closed_pairs(classes)
-
-
 def model_from_dict(data: Mapping) -> Model:
     try:
         agents = int(data["agents"])
@@ -299,17 +360,20 @@ def model_from_dict(data: Mapping) -> Model:
                  for a, per in data.get("depth", {}).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model document: {exc}") from exc
-    if mode == EQUIVALENCE:
-        for a, pairs in rel.items():
-            given = frozenset((s, t) for s, t in pairs if s != t)
-            closed = _closure(states, given)
-            if closed != given:
-                warnings.warn(
-                    f"agent {a} relation was not closed; applying symmetric "
-                    f"transitive closure", stacklevel=2)
-                rel[a] = list(closed)
-    return Model(agents=agents, states=states, val=val, rel=rel,
-                 depth=depth, mode=mode)
+    m = Model(agents=agents, states=states, val=val, rel=rel, depth=depth,
+              mode=mode)
+    if m.mode == EQUIVALENCE:
+        # given pairs lie within their components, so equal counts mean closed
+        unclosed = [a for a in range(m.agents)
+                    if len(m.pairs(a)) != sum(len(c) * (len(c) - 1)
+                                              for c in m.classes(a))]
+        for a in unclosed:
+            warnings.warn(
+                f"agent {a} relation was not closed; applying symmetric "
+                f"transitive closure", stacklevel=2)
+        if unclosed:
+            m = m.restrict()
+    return m
 
 
 def load_model(path: str) -> Model:

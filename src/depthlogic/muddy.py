@@ -7,8 +7,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .model import EQUIVALENCE, Model, closed_pairs
-from .semantics import SemanticsKind, check, check_naive
+from .model import EQUIVALENCE, Model
+from .semantics import SemanticsKind, check, check_naive, dpal_copy
 from .syntax import (And, Announce, Atom, DepthAtLeast, Formula, Know,
                      KnowInf, Not, TOP, conj, disj, dual, implies,
                      modal_depth)
@@ -50,21 +50,12 @@ def build_muddy(n: int, k: int, depth_fn: DepthFn) -> MuddyInstance:
               if "1" in bits]
     val = {s: frozenset(f"m{i}" for i, b in enumerate(s) if b == "1")
            for s in states}
-    rel = {}
-    for i in range(n):
-        classes = []
-        for s in states:
-            flipped = s[:i] + ("0" if s[i] == "1" else "1") + s[i + 1:]
-            if flipped < s:
-                continue
-            if "1" in flipped:
-                classes.append([s, flipped])
-            else:
-                classes.append([s])
-        rel[i] = closed_pairs(classes)
+    # a state and its i-th bitflip share the key with bit i set
+    class_ids = {i: [s[:i] + "1" + s[i + 1:] for s in states]
+                 for i in range(n)}
     depth = {i: {s: depth_fn(i, s) for s in states} for i in range(n)}
-    model = Model(agents=n, states=states, val=val, rel=rel, depth=depth,
-                  mode=EQUIVALENCE)
+    model = Model(agents=n, states=states, val=val, depth=depth,
+                  mode=EQUIVALENCE, class_ids=class_ids)
     return MuddyInstance(n=n, k=k, model=model)
 
 
@@ -138,7 +129,8 @@ def lower_bound_sweep(k: int, max_depth: int = 3) -> SweepReport:
     phi = phi_k(k)
     f = implies(phi, lower_bound_conclusion(k))
     for values in itertools.product(range(max_depth + 1), repeat=k):
-        inst = MuddyInstance(n=k, k=k, model=_with_depths(base.model, values))
+        model = base.model.restrict(depth=lambda a, s: values[a])
+        inst = MuddyInstance(n=k, k=k, model=model)
         report.cases += 1
         if not check(inst.model, inst.initial, f, SemanticsKind.DPAL):
             report.violations += 1
@@ -148,14 +140,6 @@ def lower_bound_sweep(k: int, max_depth: int = 3) -> SweepReport:
                 report.violations += 1
                 report.witnesses.append((values, "contrapositive"))
     return report
-
-
-def _with_depths(m: Model, values: tuple[int, ...]) -> Model:
-    depth = {a: {s: values[a] for s in m.states} for a in range(m.agents)}
-    return Model(agents=m.agents, states=list(m.states),
-                 val={s: m.atoms(s) for s in m.states},
-                 rel={a: m.pairs(a) for a in range(m.agents)},
-                 depth=depth, mode=m.mode)
 
 
 def amnesia_formula() -> Formula:
@@ -263,7 +247,9 @@ def reduction_decide(inst: ThreeSatInstance) -> bool:
         for final in reduction_steps(ThreeSatInstance(n, ((1, 1, 1),))):
             pass
         _FINAL_CACHE[n] = final
-    state = "1." * n + "s"
+    state = "s"
+    for _ in range(n):
+        state = dpal_copy(state, True)
     goal = Not(Know(0, Not(_phi_prime(inst))))
     return check_naive(final, state, goal, SemanticsKind.DPAL)
 

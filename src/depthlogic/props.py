@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .model import EQUIVALENCE, REFLEXIVE, Model, closed_pairs
+from .model import EQUIVALENCE, REFLEXIVE, Model
 from .semantics import (SemanticsKind, check_naive, holds_everywhere)
 from .syntax import (And, Announce, Atom, DepthAtLeast, DepthExact, Formula,
                      Know, KnowInf, Not, TOP, conj, disj, f_transform, iff,
@@ -102,15 +102,11 @@ def _rand(rng: random.Random, spec: RandomSpec, size: int, announce: bool,
     return _leaf(rng, spec, depth_atoms)
 
 
-def _rgs_partition(rng: random.Random, items: list[str]) -> list[list[str]]:
+def _rgs_partition(rng: random.Random, n: int) -> list[int]:
     # restricted growth string: item i may join blocks 0..max_used+1
-    blocks: list[list[str]] = []
-    for it in items:
-        j = rng.randint(0, len(blocks))
-        if j == len(blocks):
-            blocks.append([it])
-        else:
-            blocks[j].append(it)
+    blocks: list[int] = []
+    for _ in range(n):
+        blocks.append(rng.randint(0, max(blocks, default=-1) + 1))
     return blocks
 
 
@@ -120,21 +116,18 @@ def random_model(rng: random.Random, spec: RandomSpec,
     states = [f"s{i}" for i in range(n)]
     val = {s: frozenset(a for a in ATOM_POOL if rng.randrange(2))
            for s in states}
-    rel = {}
+    class_ids = {}
     depth: dict[int, dict[str, int]] = {}
     for a in range(spec.agents):
-        blocks = _rgs_partition(rng, states)
-        rel[a] = closed_pairs(blocks)
+        blocks = class_ids[a] = _rgs_partition(rng, n)
         if unambiguous:
-            depth[a] = {}
-            for block in blocks:
-                d = rng.randint(0, spec.max_depth)
-                for s in block:
-                    depth[a][s] = d
+            per_block = [rng.randint(0, spec.max_depth)
+                         for _ in range(max(blocks) + 1)]
+            depth[a] = {s: per_block[b] for s, b in zip(states, blocks)}
         else:
             depth[a] = {s: rng.randint(0, spec.max_depth) for s in states}
-    return Model(agents=spec.agents, states=states, val=val, rel=rel,
-                 depth=depth, mode=EQUIVALENCE)
+    return Model(agents=spec.agents, states=states, val=val, depth=depth,
+                 mode=EQUIVALENCE, class_ids=class_ids)
 
 
 # -- schema tables --
@@ -377,17 +370,6 @@ class SuiteReport:
         return not self.violations
 
 
-def _restrict(m: Model, keep: set[str]) -> Model:
-    states = [s for s in m.states if s in keep]
-    val = {s: m.atoms(s) for s in states}
-    rel = {a: frozenset(p for p in m.pairs(a)
-                        if p[0] in keep and p[1] in keep)
-           for a in range(m.agents)}
-    depth = {a: {s: m.depth(a, s) for s in states} for a in range(m.agents)}
-    return Model(agents=m.agents, states=states, val=val, rel=rel,
-                 depth=depth, mode=m.mode)
-
-
 def _shrink_formula(f: Formula) -> list[Formula]:
     out: list[Formula] = []
     if isinstance(f, Not):
@@ -424,7 +406,7 @@ def minimize(m: Model, state: str, f: Formula, kind: SemanticsKind
         for drop in list(m.states):
             if drop == state or len(m.states) == 1:
                 continue
-            smaller = _restrict(m, set(m.states) - {drop})
+            smaller = m.restrict(set(m.states) - {drop})
             if fails(smaller, state, f):
                 m = smaller
                 changed = True

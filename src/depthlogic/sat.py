@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .model import EQUIVALENCE, Model, PointedModel, closed_pairs
+from .model import EQUIVALENCE, Model, PointedModel
 from .semantics import FragmentError, SemanticsKind, check_naive
 from .syntax import (And, Atom, DepthAtLeast, DepthExact, Formula, KnowInf,
                      Not, TRUE_ATOM, agents_of, atoms_of, max_depth_constant,
@@ -217,20 +217,17 @@ def satisfies_literals(gamma_subset: Iterable[Formula],
 
 # -- bounded brute force --
 
-def _set_partitions(items: list[str]) -> Iterator[list[list[str]]]:
-    # restricted growth strings enumerate partitions without relabeling
-    n = len(items)
+def _set_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    # restricted growth strings enumerate partitions without relabeling;
+    # each string gives every item's block number
     if n == 0:
-        yield []
+        yield ()
         return
     rgs = [0] * n
 
-    def rec(i: int, m: int) -> Iterator[list[list[str]]]:
+    def rec(i: int, m: int) -> Iterator[tuple[int, ...]]:
         if i == n:
-            blocks: list[list[str]] = [[] for _ in range(m + 1)]
-            for j, b in enumerate(rgs):
-                blocks[b].append(items[j])
-            yield blocks
+            yield tuple(rgs)
             return
         for b in range(m + 2):
             rgs[i] = b
@@ -239,9 +236,19 @@ def _set_partitions(items: list[str]) -> Iterator[list[list[str]]]:
     yield from rec(1, 0)
 
 
+def _bell(n: int) -> int:
+    """Number of partitions of an n-element set, from the Bell triangle."""
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
 def _estimate(n: int, n_atoms: int, n_agents: int, max_depth: int) -> int:
-    bell = [1, 1, 2, 5, 15, 52, 203][min(n, 6)]
-    return ((2 ** n_atoms) ** n * bell ** n_agents
+    return ((2 ** n_atoms) ** n * _bell(n) ** n_agents
             * (max_depth + 1) ** (n * n_agents))
 
 
@@ -258,13 +265,13 @@ def enumerate_models(f: Formula, max_states: int, max_depth: int,
             f"bounds exceeded: ~{total} candidate models (limit {limit})")
     for n in range(1, max_states + 1):
         states = [f"s{i}" for i in range(n)]
-        partitions = list(_set_partitions(states))
+        partitions = list(_set_partitions(n))
         valuations = list(itertools.product(
             *([[frozenset(c) for c in _subsets(atoms)]] * n)))
         depth_vecs = list(itertools.product(range(max_depth + 1),
                                             repeat=n * n_agents))
         for parts in itertools.product(partitions, repeat=n_agents):
-            rel = {a: closed_pairs(parts[a]) for a in range(n_agents)}
+            class_ids = dict(enumerate(parts))
             for vals in valuations:
                 val = dict(zip(states, vals))
                 for dv in depth_vecs:
@@ -272,7 +279,8 @@ def enumerate_models(f: Formula, max_states: int, max_depth: int,
                                  for i, s in enumerate(states)}
                              for a in range(n_agents)}
                     m = Model(agents=n_agents, states=states, val=val,
-                              rel=rel, depth=depth, mode=EQUIVALENCE)
+                              depth=depth, mode=EQUIVALENCE,
+                              class_ids=class_ids)
                     yield PointedModel(m, states[0])
 
 

@@ -57,7 +57,7 @@ def _has_announce(f: Formula) -> bool:
 
 
 def _mapped_state(kind: SemanticsKind, state: str) -> str:
-    return "1." + state if kind is SemanticsKind.DPAL else state
+    return dpal_copy(state, True) if kind is SemanticsKind.DPAL else state
 
 
 # -- naive recursive checker (oracle) --
@@ -113,60 +113,40 @@ def _truth_map(m: Model, announced: Formula, kind: SemanticsKind,
     return truth
 
 
+def dpal_copy(state: str, positive: bool) -> str:
+    """Name of a state's copy after a DPAL update: ``1.s`` for the positive
+    copy (the announcement was heard), ``0.s`` for the negative one."""
+    return ("1." if positive else "0.") + state
+
+
 def update_dpal(m: Model, announced: Formula,
                 truth: dict[str, bool] | None = None) -> Model:
     """World-duplicating update: a full negative copy plus a positive copy of
-    the states satisfying the announcement, cross-linked for agents too
-    shallow to perceive it, with the merged relation closed per agent."""
+    the states satisfying the announcement.  Per agent, the copies of a class
+    stay classes, and the two merge iff the agent is too shallow to perceive
+    the announcement at one of the class's announcement states."""
     if m.mode != EQUIVALENCE:
         raise ModeError("DPAL update requires an equivalence-mode model")
     truth = _truth_map(m, announced, SemanticsKind.DPAL, truth)
     dphi = modal_depth(announced)
-    neg = ["0." + s for s in m.states]
-    pos = ["1." + s for s in m.states if truth[s]]
-    states = neg + pos
-
-    val = {}
-    depth: dict[int, dict[str, int]] = {a: {} for a in range(m.agents)}
-    for s in m.states:
-        val["0." + s] = m.atoms(s)
-        for a in range(m.agents):
-            depth[a]["0." + s] = m.depth(a, s)
-        if truth[s]:
-            val["1." + s] = m.atoms(s)
-            for a in range(m.agents):
-                d = m.depth(a, s)
-                depth[a]["1." + s] = d - dphi if d >= dphi else d
-
-    rel = {}
+    pos = [i for i, s in enumerate(m.states) if truth[s]]
+    states = ([dpal_copy(s, False) for s in m.states]
+              + [dpal_copy(m.states[i], True) for i in pos])
+    atoms = [m.atoms(s) for s in m.states]
+    val = dict(zip(states, atoms + [atoms[i] for i in pos]))
+    depth = {}
+    class_ids = {}
+    offset = len(m.states)   # class ids are state indices, below this
     for a in range(m.agents):
-        parent = {s: s for s in states}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: str, y: str) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for s, t in m.pairs(a):
-            union("0." + s, "0." + t)
-            if truth[s] and truth[t]:
-                union("1." + s, "1." + t)
-        for s in m.states:
-            if truth[s] and m.depth(a, s) < dphi:
-                union("1." + s, "0." + s)
-        groups: dict[str, list[str]] = {}
-        for s in states:
-            groups.setdefault(find(s), []).append(s)
-        rel[a] = closed_pairs(groups.values())
-
-    return Model(agents=m.agents, states=states, val=val, rel=rel,
-                 depth=depth, mode=EQUIVALENCE)
+        ids = m.class_ids(a)
+        da = [m.depth(a, s) for s in m.states]
+        linked = {ids[i] for i in pos if da[i] < dphi}
+        class_ids[a] = ids + tuple(ids[i] if ids[i] in linked
+                                   else ids[i] + offset for i in pos)
+        depth[a] = dict(zip(states, da + [da[i] - dphi if da[i] >= dphi
+                                          else da[i] for i in pos]))
+    return Model(agents=m.agents, states=states, val=val, depth=depth,
+                 mode=EQUIVALENCE, class_ids=class_ids)
 
 
 def update_edpal(m: Model, announced: Formula,
@@ -177,15 +157,8 @@ def update_edpal(m: Model, announced: Formula,
         raise ModeError("EDPAL update requires an equivalence-mode model")
     truth = _truth_map(m, announced, SemanticsKind.EDPAL, truth)
     dphi = modal_depth(announced)
-    states = [s for s in m.states if truth[s]]
-    keep = set(states)
-    val = {s: m.atoms(s) for s in states}
-    rel = {a: frozenset(p for p in m.pairs(a) if p[0] in keep and p[1] in keep)
-           for a in range(m.agents)}
-    depth = {a: {s: m.depth(a, s) - dphi for s in states}
-             for a in range(m.agents)}
-    return Model(agents=m.agents, states=states, val=val, rel=rel,
-                 depth=depth, mode=EQUIVALENCE)
+    return m.restrict({s for s in m.states if truth[s]},
+                      lambda a, s: m.depth(a, s) - dphi)
 
 
 def update_adpal(m: Model, announced: Formula,

@@ -66,6 +66,20 @@ class TestCheck:
                    "--formula", "p"])
         assert rc == 3
 
+    def test_missing_formula_exits_2(self, model_file, capsys):
+        rc = main(["check", "--model", model_file, "--state", "s"])
+        assert rc == 2
+        assert "(line 1, column 1)" in capsys.readouterr().err
+
+    def test_depth_for_unknown_state_exits_3(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "agents": 1, "states": ["s"], "rel": {"0": []},
+            "depth": {"0": {"s": 0, "t": 1}}}))
+        rc = main(["check", "--model", str(path), "--state", "s",
+                   "--formula", "true"])
+        assert rc == 3
+
 
 class TestUpdate:
     def test_edpal_top_is_byte_identical(self, model_file, tmp_path):
@@ -111,6 +125,12 @@ class TestMuddy:
                    "--formula", "upper", "--semantics", "EDPAL"])
         assert rc == 0
         assert "true" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("depths,column", [("1,2", 4), ("1,2,3,4", 7)])
+    def test_wrong_depth_count_exits_2(self, capsys, depths, column):
+        rc = main(["muddy", "--k", "3", "--depths", depths])
+        assert rc == 2
+        assert f"(line 1, column {column})" in capsys.readouterr().err
 
     def test_amnesia_only_under_edpal(self, capsys):
         rc = main(["muddy", "--k", "3", "--formula", "amnesia",

@@ -15,8 +15,10 @@ from depthlogic.model import (
     is_unambiguous,
     load_model,
     loads_model,
+    model_from_dict,
     model_size,
     save_model,
+    to_dict,
     validate,
 )
 from depthlogic.muddy import build_muddy, canonical_depths
@@ -149,6 +151,43 @@ class TestConnectedComponent:
                         assert seen.setdefault(t, comp) == comp
 
 
+class TestClassIds:
+    def test_ids_give_classes_successors_and_pairs(self):
+        m = Model(agents=1, states=["a", "b", "c"], val={},
+                  class_ids={0: ["x", "y", "x"]})
+        assert m.class_ids(0) == (0, 1, 0)
+        assert m.classes(0) == (frozenset({"a", "c"}), frozenset({"b"}))
+        assert m.successors(0, "c") == {"a", "c"}
+        assert m.pairs(0) == {("a", "c"), ("c", "a")}
+        assert model_size(m) == 3 + 4 + 1
+
+    def test_same_model_as_from_pairs(self):
+        by_ids = Model(agents=1, states=["a", "b", "c"], val={"a": ["p"]},
+                       depth={0: {"a": 0, "b": 0, "c": 0}},
+                       class_ids={0: [0, 0, 0]})
+        assert canonical_json(by_ids) == canonical_json(chain_model())
+
+    def test_rejects_bad_columns(self):
+        with pytest.raises(ModelError):
+            Model(agents=1, states=["a", "b"], val={}, class_ids={0: [0]})
+        with pytest.raises(ModelError):
+            Model(agents=1, states=["a"], val={}, class_ids={1: [0]})
+        with pytest.raises(ModelError):
+            Model(agents=1, states=["a"], val={}, class_ids={0: [0]},
+                  mode="reflexive")
+
+    def test_unclosed_pairs_kept_as_given(self):
+        m = chain_model(close=False)
+        assert ("a", "c") not in m.pairs(0)
+        assert m.classes(0) == (frozenset({"a", "b", "c"}),)
+
+    def test_restrict_keeps_classes_and_takes_depths(self):
+        m = chain_model().restrict({"a", "c"}, lambda a, s: 3)
+        assert m.states == ("a", "c")
+        assert m.classes(0) == (frozenset({"a", "c"}),)
+        assert m.depth(0, "c") == 3 and m.atoms("a") == {"p"}
+
+
 class TestSize:
     def test_counts_squared_pairs_per_class(self):
         # one class of size 3 plus 3 states: 3 + 3^2
@@ -179,6 +218,18 @@ class TestSerialization:
             m = loads_model(text)
         assert validate(m, "equivalence") is None
         assert connected_component(m, "a", 0) == {"a", "b", "c"}
+
+    def test_negative_depths_load(self):
+        text = canonical_json(chain_model()).replace('"a": 0', '"a": -2')
+        assert loads_model(text).depth(0, "a") == -2
+
+    @pytest.mark.parametrize("depth", [{"0": {"zz": 1}}, {"1": {"a": 1}},
+                                       {"-1": {"a": 1}}])
+    def test_depth_entry_for_unknown_state_or_agent_rejected(self, depth):
+        data = to_dict(chain_model())
+        data["depth"] = depth
+        with pytest.raises(ModelError):
+            model_from_dict(data)
 
     def test_closed_pairs(self):
         assert closed_pairs([["a", "b"], ["c"]]) == {("a", "b"), ("b", "a")}

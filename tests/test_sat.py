@@ -8,6 +8,7 @@ import pytest
 
 from depthlogic.props import RandomSpec, random_formula
 from depthlogic.sat import (
+    _estimate,
     assign_depths,
     closure,
     enumerate_models,
@@ -220,3 +221,17 @@ def test_enumerate_models_yields_valid_pointed_models():
         if count >= 50:
             break
     assert count == 50
+
+
+@pytest.mark.parametrize("n,bell", [(7, 877), (8, 4140)])
+def test_estimate_uses_exact_bell_number(n, bell):
+    # one agent, no atoms, depth 0: the count is the number of partitions
+    assert _estimate(n, 0, 1, 0) == bell
+
+
+def test_limit_counts_all_partitions_of_seven_states():
+    # no atoms, one agent, depth 0: 1 + 2 + 5 + 15 + 52 + 203 + 877 = 1155
+    f = Atom("true")
+    next(enumerate_models(f, max_states=7, max_depth=0, limit=1155))
+    with pytest.raises(ValueError, match="bounds exceeded"):
+        next(enumerate_models(f, max_states=7, max_depth=0, limit=1154))
