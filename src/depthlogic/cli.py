@@ -8,7 +8,10 @@ Exit codes: 0 ok, 1 property-suite violation, 2 formula/flag parse error,
 from __future__ import annotations
 
 import argparse
+import ast
+import contextlib
 import csv
+import operator
 import random
 import sys
 import time
@@ -16,12 +19,14 @@ import time
 from . import dot as dotmod
 from . import muddy as muddymod
 from . import props
+# validate is unused here, but the traced benchmark wraps cli.validate by name
 from .model import (Model, ModelError, load_model, model_size, save_model,
                     validate)
 from .sat import sat_bruteforce
 from .semantics import (FragmentError, ModeError, SemanticsKind, check,
                         update)
-from .syntax import Formula, ParseError, parse, size, to_text
+from .syntax import (Announce, Formula, ParseError, agents_of, parse, size,
+                     to_text, walk)
 
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
@@ -43,13 +48,10 @@ def _read_formula(args: argparse.Namespace) -> Formula:
     return parse(text)
 
 
-def _load(path: str) -> Model:
-    m = load_model(path)
-    report = validate(m)
-    if report is not None:
-        raise ModelError(f"invalid model: {report.property} fails for agent "
-                         f"{report.agent} at {report.witness}")
-    return m
+def _check_agents(m: Model, formulas: list[Formula]) -> None:
+    unknown = set().union(*map(agents_of, formulas)) - set(range(m.agents))
+    if unknown:
+        raise ModelError(f"formula names unknown agent {min(unknown)}")
 
 
 def _add_formula_flags(p: argparse.ArgumentParser) -> None:
@@ -63,16 +65,18 @@ def _add_semantics_flag(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    m = _load(args.model)
+    m = load_model(args.model)
     f = _read_formula(args)
+    _check_agents(m, [f])
     result = check(m, args.state, f, _semantics(args.semantics))
     print("true" if result else "false")
     return 0
 
 
 def cmd_update(args: argparse.Namespace) -> int:
-    m = _load(args.model)
+    m = load_model(args.model)
     f = _read_formula(args)
+    _check_agents(m, [f])
     upd = update(m, f, _semantics(args.semantics))
     if args.out:
         save_model(upd, args.out)
@@ -96,25 +100,49 @@ def cmd_sat(args: argparse.Namespace) -> int:
     return 0
 
 
-def _depth_fn(spec_text: str, k: int) -> muddymod.DepthFn:
-    if "," in spec_text or spec_text.strip().lstrip("-").isdigit():
-        values = [int(x) for x in spec_text.split(",")]
-        if len(values) == 1:
-            values = values * k
-        if len(values) != k:
-            # point at the first surplus value, or past the end
-            column = (len(",".join(spec_text.split(",")[:k])) + 2
-                      if len(values) > k else len(spec_text) + 1)
-            raise ParseError(f"--depths needs {k} values, got {len(values)}",
-                             line=1, column=column)
-        return muddymod.constant_depths(values)
-    expr = compile(spec_text, "<depths>", "eval")
+_DEPTH_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.FloorDiv: operator.floordiv,
+              ast.Mod: operator.mod}
 
-    def fn(agent: int, state: str) -> int:
-        env = {"i": agent, "k": k, "n": k, "max": max, "min": min}
-        return int(eval(expr, {"__builtins__": {}}, env))
 
-    return fn
+def _depth_value(node: ast.expr, env: dict[str, int]) -> int:
+    """A whitelisted integer expression's value; ``ParseError`` otherwise."""
+    match node:
+        case ast.Constant(value=value) if type(value) is int:
+            return value
+        case ast.Name(id=name) if name in env:
+            return env[name]
+        case ast.UnaryOp(op=ast.USub(), operand=operand):
+            return -_depth_value(operand, env)
+        case ast.BinOp(left=x, op=op, right=y) if type(op) in _DEPTH_OPS:
+            values = _depth_value(x, env), _depth_value(y, env)
+            with contextlib.suppress(ZeroDivisionError):  # reported below
+                return _DEPTH_OPS[type(op)](*values)
+        case ast.Call(func=ast.Name(id="min" | "max" as fn), args=[_, *_],
+                      keywords=[]):
+            return (min if fn == "min" else max)(
+                _depth_value(arg, env) for arg in node.args)
+    raise ParseError(f"--depths cannot evaluate {ast.unparse(node)!r}",
+                     line=node.lineno, column=node.col_offset + 1)
+
+
+def _depth_fn(spec_text: str, k: int, n: int) -> muddymod.DepthFn:
+    """``--depths``: one expression in i (the child), k and n, evaluated for
+    each of the n children, or a comma list of n such expressions."""
+    try:
+        tree = ast.parse(spec_text, mode="eval").body
+    except SyntaxError as exc:
+        raise ParseError(f"--depths: {exc.msg}", line=exc.lineno or 1,
+                         column=exc.offset or 1) from None
+    exprs = tree.elts if isinstance(tree, ast.Tuple) else [tree] * n
+    if len(exprs) != n:
+        # point at the first surplus value, or past the end
+        column = (exprs[n].col_offset + 1 if len(exprs) > n
+                  else len(spec_text) + 1)
+        raise ParseError(f"--depths needs {n} values, got {len(exprs)}",
+                         line=1, column=column)
+    return muddymod.constant_depths([_depth_value(e, {"i": i, "k": k, "n": n})
+                                     for i, e in enumerate(exprs)])
 
 
 _MUDDY_FORMULAS = ["phi_k", "upper", "lower", "amnesia", "leakage"]
@@ -124,7 +152,7 @@ def cmd_muddy(args: argparse.Namespace) -> int:
     k = args.k
     n = args.n or k
     depth_fn = (muddymod.canonical_depths(k) if args.depths is None
-                else _depth_fn(args.depths, n))
+                else _depth_fn(args.depths, k, n))
     inst = muddymod.build_muddy(n, k, depth_fn)
     kind = _semantics(args.semantics)
     if args.which == "phi_k":
@@ -143,11 +171,9 @@ def cmd_muddy(args: argparse.Namespace) -> int:
     print(f"{to_text(f)}")
     print("true" if result else "false")
     if args.dot:
-        announcements = []
-        g = f
-        while hasattr(g, "announced"):
-            announcements.append(g.announced)
-            g = g.sub
+        # their announcements form one chain (phi_k's for upper and lower)
+        announcements = [g.announced for g in walk(f)
+                         if isinstance(g, Announce)]
         text = dotmod.sequence_to_dot(inst.model, announcements, kind,
                                       state=inst.initial)
         with open(args.dot, "w") as fh:
@@ -210,9 +236,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    m = _load(args.model)
+    m = load_model(args.model)
     kind = _semantics(args.semantics)
     announcements = [parse(a) for a in args.announce or []]
+    _check_agents(m, announcements)
     if announcements:
         text = dotmod.sequence_to_dot(m, announcements, kind,
                                       state=args.state)
@@ -310,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:
+        print("parse error: formula nested too deeply", file=sys.stderr)
         return EXIT_PARSE
     except (ModelError, ModeError, FragmentError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

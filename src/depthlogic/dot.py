@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .model import EQUIVALENCE, Model, closed_pairs
+from .model import EQUIVALENCE, Model
 from .semantics import SemanticsKind, check_naive, dpal_copy, update
 from .syntax import Formula, to_text
 
@@ -32,26 +32,19 @@ def _node_lines(m: Model, prefix: str, designated: str | None) -> list[str]:
 
 
 def _edge_lines(m: Model, prefix: str) -> list[str]:
+    # an equivalence relation is symmetric: draw each pair once, undirected
+    undirected = m.mode == EQUIVALENCE
     lines = []
     for a in range(m.agents):
-        if m.mode == EQUIVALENCE:
-            pairs = sorted(closed_pairs(m.classes(a)),
-                           key=lambda p: (m.state_index(p[0]), m.state_index(p[1])))
-            seen = set()
-            for s, t in pairs:
-                if (t, s) in seen:
+        for i, s in enumerate(m.states):
+            for t in sorted(m.successors(a, s), key=m.state_index):
+                if t == s or undirected and m.state_index(t) < i:
                     continue
-                seen.add((s, t))
-                dashed = ""
-                if _copy_prefix(s) and _copy_prefix(s) != _copy_prefix(t):
-                    dashed = " style=dashed"
+                style = " dir=none" if undirected else ""
+                if undirected and _copy_prefix(s) not in ("", _copy_prefix(t)):
+                    style += " style=dashed"   # a DPAL cross-copy link
                 lines.append(f'    "{prefix}{s}" -> "{prefix}{t}" '
-                             f'[color={agent_color(a)} label="{a}" dir=none{dashed}];')
-        else:
-            for s, t in sorted(m.pairs(a),
-                               key=lambda p: (m.state_index(p[0]), m.state_index(p[1]))):
-                lines.append(f'    "{prefix}{s}" -> "{prefix}{t}" '
-                             f'[color={agent_color(a)} label="{a}"];')
+                             f'[color={agent_color(a)} label="{a}"{style}];')
     return lines
 
 

@@ -1,13 +1,13 @@
 """Kripke structures with per-agent, per-state depths.
 
-Equivalence-mode relations are stored as partitions: one class id per state
-index for each agent.  ``classes``, ``successors`` and ``model_size`` read
-those ids; explicit pairs exist only on output (``to_dict``, DOT export,
-``validate``), built from the classes on first use.  A model built from pairs
-keeps them as given, so ``validate`` reports the first violation of an
-unclosed relation; its classes are the connected components of the
-symmetrized pairs.  Reflexive-mode models store arbitrary directed pairs.
-Reflexive loops are implicit and never stored.
+An equivalence-mode relation (DBEL, DPAL, EDPAL) is a partition, stored as
+one class id per state index for each agent; a reflexive-mode relation
+(ADPAL) is stored as each state's successor set.  Other modules read
+relations only through ``successors``: the agent's class, or the state
+itself plus its direct successors.  Explicit pairs are read only by
+``to_dict``, ``validate`` and ``model_from_dict``; pairs given to an
+equivalence-mode model are kept as given, so ``validate`` reports the first
+violation of an unclosed relation.  Pairs never list reflexive loops.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ Pair = tuple[str, str]
 class Model:
     """Immutable pointed-model substrate: states, valuation, relations, depths.
 
-    Relations come either as ``rel`` (non-loop pairs per agent) or, in
-    equivalence mode, as ``class_ids`` (per agent, one hashable class id per
-    state, equal ids meaning the same class).
+    Relations come either as ``rel`` (non-loop pairs per agent), in
+    equivalence mode as ``class_ids`` (per agent, one hashable class id per
+    state, equal ids meaning the same class), or in reflexive mode as
+    ``successors`` (per agent, each state's successor set, itself included).
     """
 
     __slots__ = ("agents", "states", "mode", "_val", "_rel", "_ids",
@@ -47,7 +48,9 @@ class Model:
                  depth: Mapping[int, Mapping[str, int]] | None = None,
                  mode: str = EQUIVALENCE,
                  *,
-                 class_ids: Mapping[int, Sequence[Hashable]] | None = None):
+                 class_ids: Mapping[int, Sequence[Hashable]] | None = None,
+                 successors: Mapping[int, Mapping[str, frozenset[str]]]
+                 | None = None):
         states = tuple(states)
         if len(set(states)) != len(states):
             raise ModelError("duplicate state names")
@@ -66,6 +69,7 @@ class Model:
                 raise ModelError(f"valuation for unknown state {s!r}")
         rmap: dict[int, frozenset[Pair]] = {}
         ids: dict[int, tuple[int, ...]] = {}
+        succ: dict[int, dict[str, frozenset[str]]] = {}
         if class_ids is not None:
             if rel is not None or mode != EQUIVALENCE:
                 raise ModelError(
@@ -79,6 +83,18 @@ class Model:
                 column = class_ids.get(a)
                 ids[a] = (tuple(range(len(states))) if column is None
                           else _first_index_ids(column))
+        elif successors is not None:
+            if (rel is not None or mode != REFLEXIVE
+                    or successors.keys() != set(range(agents))):
+                raise ModelError("successors replaces rel, needs reflexive "
+                                 "mode and one map per agent")
+            for a, column in successors.items():
+                succ[a] = {s: frozenset(column.get(s, ())) for s in states}
+                if column.keys() != index.keys() or not all(
+                        s in ts and ts <= index.keys()
+                        for s, ts in succ[a].items()):
+                    raise ModelError(f"agent {a} needs each state's "
+                                     f"successors, itself included")
         else:
             rel = rel or {}
             for a in range(agents):
@@ -90,6 +106,11 @@ class Model:
                     if s != t:
                         pairs.add((s, t))
                 rmap[a] = frozenset(pairs)
+                if mode == REFLEXIVE:
+                    sets = {s: [s] for s in states}
+                    for s, t in pairs:
+                        sets[s].append(t)
+                    succ[a] = {s: frozenset(ts) for s, ts in sets.items()}
             for a in rel:
                 if not 0 <= a < agents:
                     raise ModelError(f"relation for unknown agent {a}")
@@ -112,7 +133,7 @@ class Model:
         self._ids = ids
         self._depth = dmap
         self._index = index
-        self._succ: dict[int, dict[str, frozenset[str]]] = {}
+        self._succ = succ
         self._classes: dict[int, tuple[frozenset[str], ...]] = {}
 
     # -- accessors --
@@ -124,10 +145,12 @@ class Model:
         return self._depth[agent][state]
 
     def pairs(self, agent: int) -> frozenset[Pair]:
-        """Non-loop pairs: as given, or built from the classes."""
+        """Non-loop pairs: as given, or built from the successors."""
         pairs = self._rel.get(agent)
         if pairs is None:
-            pairs = self._rel[agent] = closed_pairs(self.classes(agent))
+            pairs = self._rel[agent] = frozenset(
+                (s, t) for s in self.states
+                for t in self.successors(agent, s) if s != t)
         return pairs
 
     def has_state(self, state: str) -> bool:
@@ -141,22 +164,16 @@ class Model:
         ``classes``)."""
         ids = self._ids.get(agent)
         if ids is None:
-            ids = self._ids[agent] = _components(self._index, self._rel[agent])
+            ids = self._ids[agent] = _components(self._index, self.pairs(agent))
         return ids
 
     def successors(self, agent: int, state: str) -> frozenset[str]:
         """States the agent considers possible at ``state`` (includes itself):
         its class in equivalence mode, its direct successors otherwise."""
         cache = self._succ.get(agent)
-        if cache is None:
-            if self.mode == EQUIVALENCE:
-                cache = {s: cls for cls in self.classes(agent) for s in cls}
-            else:
-                sets = {s: {s} for s in self.states}
-                for s, t in self._rel[agent]:
-                    sets[s].add(t)
-                cache = {s: frozenset(ts) for s, ts in sets.items()}
-            self._succ[agent] = cache
+        if cache is None:   # equivalence mode: built from the classes
+            cache = self._succ[agent] = {
+                s: cls for cls in self.classes(agent) for s in cls}
         return cache[state]
 
     def classes(self, agent: int) -> tuple[frozenset[str], ...]:
@@ -189,10 +206,11 @@ class Model:
             ids = {a: [self.class_ids(a)[i] for i in idx]
                    for a in range(self.agents)}
             return Model(self.agents, states, val, depth=dmap, class_ids=ids)
-        kept = set(states)
-        rel = {a: [(s, t) for s, t in self._rel[a] if s in kept and t in kept]
-               for a in range(self.agents)}
-        return Model(self.agents, states, val, rel, dmap, REFLEXIVE)
+        kept = frozenset(states)
+        succ = {a: {s: self.successors(a, s) & kept for s in states}
+                for a in range(self.agents)}
+        return Model(self.agents, states, val, depth=dmap, mode=REFLEXIVE,
+                     successors=succ)
 
     def __repr__(self) -> str:
         return (f"Model(agents={self.agents}, states={len(self.states)}, "
@@ -280,12 +298,10 @@ def is_unambiguous(m: Model) -> bool:
 
 
 def connected_component(m: Model, state: str, agent: int) -> frozenset[str]:
-    """The agent's class of ``state`` (equivalence mode) or forward-reachable
-    set (reflexive mode)."""
+    """States reachable from ``state`` along the agent's successors: its class
+    in equivalence mode, its forward-reachable set in reflexive mode."""
     if not m.has_state(state):
         raise ModelError(f"unknown state {state!r}")
-    if m.mode == EQUIVALENCE:
-        return m.successors(agent, state)
     reached = {state}
     frontier = [state]
     while frontier:
@@ -297,28 +313,10 @@ def connected_component(m: Model, state: str, agent: int) -> frozenset[str]:
     return frozenset(reached)
 
 
-def closed_pairs(classes: Iterable[Iterable[str]]) -> frozenset[Pair]:
-    """All ordered non-loop pairs within each class."""
-    out = set()
-    for cls in classes:
-        cls = tuple(cls)
-        for s in cls:
-            for t in cls:
-                if s != t:
-                    out.add((s, t))
-    return frozenset(out)
-
-
 def model_size(m: Model) -> int:
-    """States plus relation pairs, counting k*k pairs per size-k class in
-    equivalence mode and explicit pairs plus reflexive loops otherwise."""
-    total = len(m.states)
-    for a in range(m.agents):
-        if m.mode == EQUIVALENCE:
-            total += sum(len(cls) ** 2 for cls in m.classes(a))
-        else:
-            total += len(m.pairs(a)) + len(m.states)
-    return total
+    """States plus, per agent and state, its successors (itself included)."""
+    return len(m.states) + sum(len(m.successors(a, s))
+                               for a in range(m.agents) for s in m.states)
 
 
 # -- serialization --

@@ -15,22 +15,15 @@ from .model import EQUIVALENCE, Model, PointedModel
 from .semantics import FragmentError, SemanticsKind, check_naive
 from .syntax import (And, Atom, DepthAtLeast, DepthExact, Formula, KnowInf,
                      Not, TRUE_ATOM, agents_of, atoms_of, max_depth_constant,
-                     modal_depth)
+                     modal_depth, walk)
 
 
 def _check_fragment(f: Formula) -> None:
-    if isinstance(f, (Atom, DepthExact, DepthAtLeast)):
-        return
-    if isinstance(f, Not):
-        _check_fragment(f.sub)
-    elif isinstance(f, And):
-        _check_fragment(f.left)
-        _check_fragment(f.right)
-    elif isinstance(f, KnowInf):
-        _check_fragment(f.sub)
-    else:
-        raise FragmentError(
-            f"closure fragment excludes {type(f).__name__} nodes")
+    for g in walk(f):
+        if not isinstance(g, (Atom, DepthExact, DepthAtLeast, Not, And,
+                              KnowInf)):
+            raise FragmentError(
+                f"closure fragment excludes {type(g).__name__} nodes")
 
 
 @dataclass(frozen=True)

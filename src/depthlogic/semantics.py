@@ -12,9 +12,9 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import (EQUIVALENCE, REFLEXIVE, Model, closed_pairs)
+from .model import EQUIVALENCE, REFLEXIVE, Model
 from .syntax import (And, Announce, Atom, DepthAtLeast, DepthExact, Formula,
-                     Know, KnowInf, Not, TRUE_ATOM, modal_depth)
+                     Know, KnowInf, Not, TRUE_ATOM, modal_depth, walk)
 
 
 class SemanticsKind(Enum):
@@ -34,7 +34,7 @@ class ModeError(ValueError):
 
 def _require(m: Model, f: Formula, kind: SemanticsKind) -> None:
     if kind is SemanticsKind.DBEL:
-        if _has_announce(f):
+        if any(isinstance(g, Announce) for g in walk(f)):
             raise FragmentError("DBEL formulas cannot contain announcements")
         if m.mode != EQUIVALENCE:
             raise ModeError("DBEL requires an equivalence-mode model")
@@ -42,18 +42,6 @@ def _require(m: Model, f: Formula, kind: SemanticsKind) -> None:
         if m.mode != EQUIVALENCE:
             raise ModeError(f"{kind.value} requires an equivalence-mode model")
     # ADPAL accepts both modes; equivalence models are demoted on update.
-
-
-def _has_announce(f: Formula) -> bool:
-    if isinstance(f, Announce):
-        return True
-    if isinstance(f, Not):
-        return _has_announce(f.sub)
-    if isinstance(f, And):
-        return _has_announce(f.left) or _has_announce(f.right)
-    if isinstance(f, (Know, KnowInf)):
-        return _has_announce(f.sub)
-    return False
 
 
 def _mapped_state(kind: SemanticsKind, state: str) -> str:
@@ -163,28 +151,26 @@ def update_edpal(m: Model, announced: Formula,
 
 def update_adpal(m: Model, announced: Formula,
                  truth: dict[str, bool] | None = None) -> Model:
-    """Asymmetric update: same states; a pair (s, t) is cut iff the agent is
-    deep enough at s and exactly one endpoint satisfies the announcement;
-    depths decrement only where the agent is deep enough."""
+    """Asymmetric update: same states; an edge from s to a successor t is cut
+    iff the agent is deep enough at s and exactly one endpoint satisfies the
+    announcement; depths decrement only where the agent is deep enough."""
     truth = _truth_map(m, announced, SemanticsKind.ADPAL, truth)
     dphi = modal_depth(announced)
-    rel = {}
+    yes = frozenset(s for s in m.states if truth[s])
+    succ: dict[int, dict[str, frozenset[str]]] = {}
+    depth: dict[int, dict[str, int]] = {}
     for a in range(m.agents):
-        if m.mode == EQUIVALENCE:
-            pairs = closed_pairs(m.classes(a))
-        else:
-            pairs = m.pairs(a)
-        kept = frozenset(
-            (s, t) for s, t in pairs
-            if not (m.depth(a, s) >= dphi and truth[s] != truth[t]))
-        rel[a] = kept
-    depth = {a: {s: (m.depth(a, s) - dphi if m.depth(a, s) >= dphi
-                     else m.depth(a, s))
-                 for s in m.states}
-             for a in range(m.agents)}
+        succ[a], depth[a] = {}, {}
+        for s in m.states:
+            ts, d = m.successors(a, s), m.depth(a, s)
+            if d >= dphi:
+                d -= dphi
+                cut = ts & yes if truth[s] else ts - yes
+                ts = cut if len(cut) < len(ts) else ts   # else shared with m
+            succ[a][s], depth[a][s] = ts, d
     val = {s: m.atoms(s) for s in m.states}
-    return Model(agents=m.agents, states=m.states, val=val, rel=rel,
-                 depth=depth, mode=REFLEXIVE)
+    return Model(agents=m.agents, states=m.states, val=val, depth=depth,
+                 mode=REFLEXIVE, successors=succ)
 
 
 # -- labeling checker --
@@ -197,7 +183,6 @@ class Labeling:
 
     root: int
     table: dict[int, dict[str, bool]] = field(default_factory=dict)
-    formulas: dict[int, Formula] = field(default_factory=dict)
 
     def truth(self, state: str) -> bool:
         return self.table[self.root][state]
@@ -210,7 +195,6 @@ def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
 
     def label(model: Model, g: Formula) -> dict[str, bool]:
         nid = next(counter)
-        out.formulas[nid] = g
         if isinstance(g, Atom):
             if g.name == TRUE_ATOM:
                 res = {s: True for s in model.states}
@@ -253,6 +237,7 @@ def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
         return res
 
     label(m, f)
+    del label   # frees the tables now, not at the next cyclic collection
     return out
 
 

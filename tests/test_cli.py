@@ -71,6 +71,12 @@ class TestCheck:
         assert rc == 2
         assert "(line 1, column 1)" in capsys.readouterr().err
 
+    def test_deeply_nested_formula_exits_2(self, model_file, capsys):
+        rc = main(["check", "--model", model_file, "--state", "s",
+                   "--formula", "!" * 3000 + "p"])
+        assert rc == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_depth_for_unknown_state_exits_3(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -79,6 +85,17 @@ class TestCheck:
         rc = main(["check", "--model", str(path), "--state", "s",
                    "--formula", "true"])
         assert rc == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--state", "s", "--formula", "K[5] p"],
+    ["update", "--formula", "E[7,0]"],
+    ["export-dot", "--announce", "p", "--announce", "P[3,1]"],
+])
+def test_formula_naming_unknown_agent_exits_3(model_file, capsys, argv):
+    rc = main(argv[:1] + ["--model", model_file] + argv[1:])
+    assert rc == 3
+    assert "unknown agent" in capsys.readouterr().err
 
 
 class TestUpdate:
@@ -126,6 +143,21 @@ class TestMuddy:
         assert rc == 0
         assert "true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("depths", ["n-k", "min(n-k, 5)"])
+    def test_depth_expression_binds_k_and_n(self, capsys, depths):
+        # with k=2 of n=3 children muddy, child 0 needs depth 1 to learn
+        rc = main(["muddy", "--n", "3", "--k", "2", "--depths", depths])
+        assert rc == 0
+        assert capsys.readouterr().out.endswith("true\n")
+
+    @pytest.mark.parametrize("depths,column", [
+        ("().__class__.__name__.__len__()", 1), ("k**k", 1), ("k//(i-i)", 1),
+        ("1,x", 4), ("1,x,2", 3)])
+    def test_bad_depth_expression_exits_2(self, capsys, depths, column):
+        rc = main(["muddy", "--k", "3", "--depths", depths])
+        assert rc == 2
+        assert f"(line 1, column {column})" in capsys.readouterr().err
+
     @pytest.mark.parametrize("depths,column", [("1,2", 4), ("1,2,3,4", 7)])
     def test_wrong_depth_count_exits_2(self, capsys, depths, column):
         rc = main(["muddy", "--k", "3", "--depths", depths])
@@ -141,6 +173,17 @@ class TestMuddy:
                    "--semantics", "DPAL"])
         assert rc == 0
         assert "false" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("which,steps", [
+        ("phi_k", 2), ("upper", 2), ("lower", 2), ("amnesia", 2),
+        ("leakage", 1)])
+    def test_dot_draws_each_announcement(self, tmp_path, which, steps):
+        out = tmp_path / "muddy.dot"
+        rc = main(["muddy", "--k", "3", "--formula", which, "--dot",
+                   str(out)])
+        assert rc == 0
+        assert out.read_text().count("subgraph cluster_") == 1 + steps
 
 
 class TestAxioms:

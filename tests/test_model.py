@@ -11,7 +11,6 @@ from depthlogic.model import (
     ModelError,
     canonical_json,
     connected_component,
-    closed_pairs,
     is_unambiguous,
     load_model,
     loads_model,
@@ -188,6 +187,40 @@ class TestClassIds:
         assert m.depth(0, "c") == 3 and m.atoms("a") == {"p"}
 
 
+class TestSuccessorSets:
+    def test_sets_give_pairs_classes_and_file_form(self):
+        m = Model(agents=1, states=["a", "b", "c"], val={}, mode="reflexive",
+                  successors={0: {"a": {"a", "b"}, "b": {"b"},
+                                  "c": {"b", "c"}}})
+        assert m.successors(0, "c") == {"b", "c"}
+        assert m.pairs(0) == {("a", "b"), ("c", "b")}
+        assert m.classes(0) == (frozenset({"a", "b", "c"}),)
+        by_pairs = Model(agents=1, states=["a", "b", "c"], val={},
+                         rel={0: [("a", "b"), ("c", "b")]}, mode="reflexive")
+        assert canonical_json(m) == canonical_json(by_pairs)
+        assert model_size(m) == model_size(by_pairs) == 3 + 5
+
+    @pytest.mark.parametrize("successors,mode", [
+        ({0: {"a": {"b"}, "b": {"b"}}}, "reflexive"),       # a lacks itself
+        ({0: {"a": {"a", "z"}, "b": {"b"}}}, "reflexive"),  # unknown state
+        ({0: {"a": {"a"}}}, "reflexive"),                   # b has no set
+        ({}, "reflexive"),                                  # agent 0 missing
+        ({0: {"a": {"a"}, "b": {"b"}}, 1: {}}, "reflexive"),
+        ({0: {"a": {"a"}, "b": {"b"}}}, "equivalence"),
+    ])
+    def test_rejects_bad_maps(self, successors, mode):
+        with pytest.raises(ModelError):
+            Model(agents=1, states=["a", "b"], val={}, mode=mode,
+                  successors=successors)
+
+    def test_restrict_drops_edges_to_removed_states(self, three_world_model):
+        m = three_world_model.restrict({"0", "1"})
+        assert m.mode == "reflexive" and m.states == ("0", "1")
+        assert m.pairs(1) == {("0", "1"), ("1", "0")}
+        assert m.successors(1, "1") == {"0", "1"}
+        assert m.depth(1, "1") == 2
+
+
 class TestSize:
     def test_counts_squared_pairs_per_class(self):
         # one class of size 3 plus 3 states: 3 + 3^2
@@ -230,6 +263,3 @@ class TestSerialization:
         data["depth"] = depth
         with pytest.raises(ModelError):
             model_from_dict(data)
-
-    def test_closed_pairs(self):
-        assert closed_pairs([["a", "b"], ["c"]]) == {("a", "b"), ("b", "a")}

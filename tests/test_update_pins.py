@@ -1,5 +1,6 @@
-"""Pins the class-id DPAL/EDPAL updates to the pair-level implementations
-they replaced, kept below as the reference."""
+"""Pins the class-id DPAL/EDPAL updates and the successor-based ADPAL update
+to the pair-level implementations they replaced, kept below as the
+reference."""
 
 from __future__ import annotations
 
@@ -9,13 +10,19 @@ import random
 import pytest
 
 from depthlogic import dot
-from depthlogic.model import (EQUIVALENCE, Model, canonical_json,
-                              closed_pairs, model_size)
+from depthlogic.model import (EQUIVALENCE, REFLEXIVE, Model, canonical_json,
+                              model_size)
 from depthlogic.muddy import build_muddy, canonical_depths, muddy_atom
 from depthlogic.props import RandomSpec, random_formula, random_model
-from depthlogic.semantics import (SemanticsKind, check_naive, update_dpal,
-                                  update_edpal)
+from depthlogic.semantics import (SemanticsKind, check_naive, update_adpal,
+                                  update_dpal, update_edpal)
 from depthlogic.syntax import Know, Not, modal_depth
+
+
+def closed_pairs(classes) -> frozenset:
+    """All ordered non-loop pairs within each class."""
+    return frozenset((s, t) for cls in classes for s in cls for t in cls
+                     if s != t)
 
 
 def pair_update_dpal(m: Model, announced, truth) -> Model:
@@ -77,8 +84,29 @@ def pair_update_edpal(m: Model, announced, truth) -> Model:
                  depth=depth, mode=EQUIVALENCE)
 
 
+def pair_update_adpal(m: Model, announced, truth) -> Model:
+    dphi = modal_depth(announced)
+    rel = {}
+    for a in range(m.agents):
+        if m.mode == EQUIVALENCE:
+            pairs = closed_pairs(m.classes(a))
+        else:
+            pairs = m.pairs(a)
+        rel[a] = frozenset(
+            (s, t) for s, t in pairs
+            if not (m.depth(a, s) >= dphi and truth[s] != truth[t]))
+    depth = {a: {s: (m.depth(a, s) - dphi if m.depth(a, s) >= dphi
+                     else m.depth(a, s))
+                 for s in m.states}
+             for a in range(m.agents)}
+    val = {s: m.atoms(s) for s in m.states}
+    return Model(agents=m.agents, states=m.states, val=val, rel=rel,
+                 depth=depth, mode=REFLEXIVE)
+
+
 PAIRS = [(SemanticsKind.DPAL, update_dpal, pair_update_dpal),
-         (SemanticsKind.EDPAL, update_edpal, pair_update_edpal)]
+         (SemanticsKind.EDPAL, update_edpal, pair_update_edpal),
+         (SemanticsKind.ADPAL, update_adpal, pair_update_adpal)]
 
 
 def truth_of(m: Model, phi, kind: SemanticsKind) -> dict[str, bool]:
