@@ -2,7 +2,7 @@
 experiments, axiom suites, benchmarks and DOT export.
 
 Exit codes: 0 ok, 1 property-suite violation, 2 formula/flag parse error,
-3 model validation error.
+3 model validation error or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -240,6 +240,8 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     kind = _semantics(args.semantics)
     announcements = [parse(a) for a in args.announce or []]
     _check_agents(m, announcements)
+    if args.state is not None and not m.has_state(args.state):
+        raise ModelError(f"unknown state {args.state!r}")
     if announcements:
         text = dotmod.sequence_to_dot(m, announcements, kind,
                                       state=args.state)
@@ -343,6 +345,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except (ModelError, ModeError, FragmentError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

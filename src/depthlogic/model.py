@@ -8,6 +8,11 @@ itself plus its direct successors.  Explicit pairs are read only by
 ``to_dict``, ``validate`` and ``model_from_dict``; pairs given to an
 equivalence-mode model are kept as given, so ``validate`` reports the first
 violation of an unclosed relation.  Pairs never list reflexive loops.
+
+For the labeling checker a model also offers sets of states as ``int``
+bitmasks, bit i standing for ``states[i]``: per atom, per (agent, depth
+bound) and, in reflexive mode, per state's successors.  Each is built on
+first use and cached, since models are immutable.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Container, Hashable, Iterable, Mapping, Sequence
+from itertools import count, repeat
+from typing import (Callable, Container, Hashable, Iterable, Iterator, Mapping,
+                    Sequence)
 
 EQUIVALENCE = "equivalence"
 REFLEXIVE = "reflexive"
@@ -38,7 +45,7 @@ class Model:
     """
 
     __slots__ = ("agents", "states", "mode", "_val", "_rel", "_ids",
-                 "_depth", "_index", "_succ", "_classes")
+                 "_depth", "_index", "_succ", "_classes", "_masks")
 
     def __init__(self,
                  agents: int,
@@ -54,7 +61,7 @@ class Model:
         states = tuple(states)
         if len(set(states)) != len(states):
             raise ModelError("duplicate state names")
-        if not all(isinstance(s, str) and s for s in states):
+        if not (all(map(isinstance, states, repeat(str))) and all(states)):
             raise ModelError("state names must be non-empty strings")
         if agents < 1:
             raise ModelError("need at least one agent")
@@ -118,9 +125,9 @@ class Model:
         for a, da in depth.items():
             if not 0 <= a < agents:
                 raise ModelError(f"depth for unknown agent {a}")
-            unknown = da.keys() - index.keys()
-            if unknown:
-                raise ModelError(f"depth for unknown state {min(unknown)!r}")
+            if not da.keys() <= index.keys():
+                unknown = min(da.keys() - index.keys())
+                raise ModelError(f"depth for unknown state {unknown!r}")
         dmap = {}
         for a in range(agents):
             da = depth.get(a, {})
@@ -135,6 +142,7 @@ class Model:
         self._index = index
         self._succ = succ
         self._classes: dict[int, tuple[frozenset[str], ...]] = {}
+        self._masks: dict[tuple, int | tuple[int, ...]] = {}
 
     # -- accessors --
 
@@ -143,6 +151,10 @@ class Model:
 
     def depth(self, agent: int, state: str) -> int:
         return self._depth[agent][state]
+
+    def depths(self, agent: int) -> list[int]:
+        """The agent's depth at each state, in state order."""
+        return list(self._depth[agent].values())
 
     def pairs(self, agent: int) -> frozenset[Pair]:
         """Non-loop pairs: as given, or built from the successors."""
@@ -189,6 +201,39 @@ class Model:
         self._classes[agent] = result
         return result
 
+    # -- bitmasks (bit i stands for states[i]) --
+
+    def atom_mask(self, atom: str) -> int:
+        """States whose valuation holds the atom."""
+        key = ("atom", atom)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = self._masks[key] = mask_of(map(
+                frozenset.__contains__, self._val.values(), repeat(atom)))
+        return mask
+
+    def depth_mask(self, agent: int, d: int) -> int:
+        """States where the agent's depth is at least ``d``."""
+        key = ("depth", agent, d)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = self._masks[key] = mask_of(
+                map(d.__le__, self._depth[agent].values()))
+        return mask
+
+    def successor_masks(self, agent: int) -> tuple[int, ...]:
+        """Per state index, the state's ``successors`` as a mask (for
+        reflexive mode, where updates never add states)."""
+        key = ("successors", agent)
+        masks = self._masks.get(key)
+        if masks is None:
+            bit = (1).__lshift__
+            index = self._index.__getitem__
+            masks = self._masks[key] = tuple(
+                sum(map(bit, map(index, self.successors(agent, s))))
+                for s in self.states)
+        return masks
+
     def restrict(self, keep: Container[str] | None = None,
                  depth: Callable[[int, str], int] | None = None) -> Model:
         """The submodel on the states in ``keep`` (default: all), in this
@@ -217,9 +262,20 @@ class Model:
                 f"mode={self.mode!r})")
 
 
+def mask_of(flags: Iterable[bool]) -> int:
+    """The bitmask whose bit i is the i-th flag."""
+    return int("".join(map("01".__getitem__, flags))[::-1] or "0", 2)
+
+
+def flags_of(mask: int, n: int) -> Iterator[bool]:
+    """Bits 0..n-1 of a bitmask below ``2**n``, as flags (the inverse of
+    ``mask_of``)."""
+    return map("1".__eq__, bin(mask)[:1:-1].ljust(n, "0")[:n])
+
+
 def _first_index_ids(column: Sequence[Hashable]) -> tuple[int, ...]:
     first: dict[Hashable, int] = {}
-    return tuple(first.setdefault(c, i) for i, c in enumerate(column))
+    return tuple(map(first.setdefault, column, count()))
 
 
 def _components(index: Mapping[str, int], pairs: Iterable[Pair]

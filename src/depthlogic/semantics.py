@@ -3,16 +3,23 @@
 Two checking routes are provided: ``check_naive`` is a direct recursive
 evaluator (the oracle), and ``check``/``check_labeling`` implement the
 bottom-up subformula labeling algorithm with one model update per
-announcement node.
+announcement node.  The labeling keeps each subformula's label as one
+``int`` bitmask over the states of its model (bit i for ``states[i]``), so
+``!`` and ``&`` are single integer operations.  ``K``/``Kinf`` drop the
+classes that reach outside the label (equivalence mode) or test each
+state's successor mask (reflexive mode), and ``K`` is gated by the model's
+cached depth masks.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, repeat
 
-from .model import EQUIVALENCE, REFLEXIVE, Model
+from .model import EQUIVALENCE, REFLEXIVE, Model, flags_of, mask_of
 from .syntax import (And, Announce, Atom, DepthAtLeast, DepthExact, Formula,
                      Know, KnowInf, Not, TRUE_ATOM, modal_depth, walk)
 
@@ -117,20 +124,19 @@ def update_dpal(m: Model, announced: Formula,
         raise ModeError("DPAL update requires an equivalence-mode model")
     truth = _truth_map(m, announced, SemanticsKind.DPAL, truth)
     dphi = modal_depth(announced)
-    pos = [i for i, s in enumerate(m.states) if truth[s]]
-    states = ([dpal_copy(s, False) for s in m.states]
+    n = len(m.states)   # class ids are state indices, below this
+    pos = list(compress(range(n), map(truth.__getitem__, m.states)))
+    states = (list(map(dpal_copy, m.states, repeat(False)))
               + [dpal_copy(m.states[i], True) for i in pos])
-    atoms = [m.atoms(s) for s in m.states]
+    atoms = list(map(m.atoms, m.states))
     val = dict(zip(states, atoms + [atoms[i] for i in pos]))
     depth = {}
     class_ids = {}
-    offset = len(m.states)   # class ids are state indices, below this
     for a in range(m.agents):
-        ids = m.class_ids(a)
-        da = [m.depth(a, s) for s in m.states]
+        ids, da = m.class_ids(a), m.depths(a)
         linked = {ids[i] for i in pos if da[i] < dphi}
-        class_ids[a] = ids + tuple(ids[i] if ids[i] in linked
-                                   else ids[i] + offset for i in pos)
+        class_ids[a] = ids + tuple(ids[i] if ids[i] in linked else ids[i] + n
+                                   for i in pos)
         depth[a] = dict(zip(states, da + [da[i] - dphi if da[i] >= dphi
                                           else da[i] for i in pos]))
     return Model(agents=m.agents, states=states, val=val, depth=depth,
@@ -177,63 +183,107 @@ def update_adpal(m: Model, announced: Formula,
 
 @dataclass
 class Labeling:
-    """Truth table over (subformula tree node, state); nodes are preorder ids
-    over the announcement tree, each announcement body labeled on the updated
-    model."""
+    """Truth of each subformula tree node, as a bitmask per node.
 
-    root: int
-    table: dict[int, dict[str, bool]] = field(default_factory=dict)
+    Nodes are preorder ids over the announcement tree; each announcement body
+    is labeled on the updated model.  Bit i of ``masks[node]`` stands for
+    ``states[node][i]``, the i-th state of the model the node was labeled on.
+    ``table`` shows the same labels as ``{node: {state: bool}}``, building
+    each row when it is read."""
+
+    model: Model
+    root: int = 0
+    masks: dict[int, int] = field(default_factory=dict)
+    states: dict[int, tuple[str, ...]] = field(default_factory=dict)
+
+    @property
+    def table(self) -> Mapping[int, dict[str, bool]]:
+        return _Rows(self)
 
     def truth(self, state: str) -> bool:
-        return self.table[self.root][state]
+        return bool(self.masks[self.root] >> self.model.state_index(state) & 1)
+
+
+class _Rows(Mapping):
+    """``Labeling.table``: node id to ``{state: bool}``, built on access."""
+
+    def __init__(self, lab: Labeling) -> None:
+        self._lab = lab
+
+    def __getitem__(self, nid: int) -> dict[str, bool]:
+        states = self._lab.states[nid]
+        return dict(zip(states, flags_of(self._lab.masks[nid], len(states))))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._lab.masks)
+
+    def __len__(self) -> int:
+        return len(self._lab.masks)
+
+
+def _known(model: Model, agent: int, sub: int) -> int:
+    """States all of whose agent-successors lie in ``sub``."""
+    if model.mode == EQUIVALENCE:
+        # all but the classes with a state outside sub; read from the class
+        # ids, since one full-width mask per class would take memory
+        # quadratic in the size of a DPAL product
+        n = len(model.states)
+        full = (1 << n) - 1
+        ids = model.class_ids(agent)
+        leaving = set(compress(ids, flags_of(full ^ sub, n)))
+        return full ^ mask_of(map(leaving.__contains__, ids))
+    return mask_of(t & sub == t for t in model.successor_masks(agent))
+
+
+def _pull_back(kind: SemanticsKind, pre: int, sub: int, n: int) -> int:
+    """The announcement states (``pre``, over n states) whose image in the
+    updated model lies in ``sub``.  DPAL puts the ``1.`` copies of the
+    announcement states after the n ``0.`` copies and EDPAL keeps just them,
+    both in state order; ADPAL keeps every state in place."""
+    if kind is SemanticsKind.ADPAL:
+        return pre & sub
+    if kind is SemanticsKind.DPAL:
+        sub >>= n
+    kept = list(compress(range(n), flags_of(pre, n)))
+    return sum(map((1).__lshift__, compress(kept, flags_of(sub, len(kept)))))
 
 
 def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
     _require(m, f, kind)
     counter = itertools.count()
-    out = Labeling(root=0)
+    out = Labeling(m)
 
-    def label(model: Model, g: Formula) -> dict[str, bool]:
+    def label(model: Model, g: Formula) -> int:
         nid = next(counter)
-        if isinstance(g, Atom):
-            if g.name == TRUE_ATOM:
-                res = {s: True for s in model.states}
-            else:
-                res = {s: g.name in model.atoms(s) for s in model.states}
-        elif isinstance(g, DepthExact):
-            res = {s: model.depth(g.agent, s) == g.d for s in model.states}
-        elif isinstance(g, DepthAtLeast):
-            res = {s: model.depth(g.agent, s) >= g.d for s in model.states}
-        elif isinstance(g, Not):
-            sub = label(model, g.sub)
-            res = {s: not v for s, v in sub.items()}
+        if isinstance(g, Not):
+            res = label(model, g.sub) ^ ((1 << len(model.states)) - 1)
         elif isinstance(g, And):
-            left = label(model, g.left)
-            right = label(model, g.right)
-            res = {s: left[s] and right[s] for s in model.states}
+            res = label(model, g.left) & label(model, g.right)
+        elif isinstance(g, Atom):
+            res = ((1 << len(model.states)) - 1 if g.name == TRUE_ATOM
+                   else model.atom_mask(g.name))
+        elif isinstance(g, DepthExact):
+            res = (model.depth_mask(g.agent, g.d)
+                   ^ model.depth_mask(g.agent, g.d + 1))
+        elif isinstance(g, DepthAtLeast):
+            res = model.depth_mask(g.agent, g.d)
         elif isinstance(g, KnowInf):
-            sub = label(model, g.sub)
-            res = {s: all(sub[t] for t in model.successors(g.agent, s))
-                   for s in model.states}
+            res = _known(model, g.agent, label(model, g.sub))
         elif isinstance(g, Know):
-            sub = label(model, g.sub)
-            gate = modal_depth(g.sub)
-            res = {s: model.depth(g.agent, s) >= gate
-                   and all(sub[t] for t in model.successors(g.agent, s))
-                   for s in model.states}
+            res = (_known(model, g.agent, label(model, g.sub))
+                   & model.depth_mask(g.agent, modal_depth(g.sub)))
         elif isinstance(g, Announce):
+            n = len(model.states)
+            full = (1 << n) - 1
             pre = label(model, g.announced)
-            upd = update(model, g.announced, kind, truth=pre)
+            truth = dict(zip(model.states, flags_of(pre, n)))
+            upd = update(model, g.announced, kind, truth=truth)
             sub = label(upd, g.sub)
-            res = {}
-            for s in model.states:
-                if not pre[s]:
-                    res[s] = True
-                else:
-                    res[s] = sub[_mapped_state(kind, s)]
+            res = (pre ^ full) | _pull_back(kind, pre, sub, n)
         else:
             raise TypeError(f"not a formula: {g!r}")
-        out.table[nid] = res
+        out.masks[nid] = res
+        out.states[nid] = model.states
         return res
 
     label(m, f)
@@ -252,8 +302,7 @@ def holds_everywhere(m: Model, f: Formula, kind: SemanticsKind
                      ) -> tuple[bool, str | None]:
     """Validity of f on the model; returns (ok, first falsifying state)."""
     lab = check_labeling(m, f, kind)
-    root = lab.table[lab.root]
-    for s in m.states:
-        if not root[s]:
-            return False, s
-    return True, None
+    missed = lab.masks[lab.root] ^ ((1 << len(m.states)) - 1)
+    if not missed:
+        return True, None
+    return False, m.states[(missed & -missed).bit_length() - 1]

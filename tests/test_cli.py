@@ -77,6 +77,12 @@ class TestCheck:
         assert rc == 2
         assert "nested too deeply" in capsys.readouterr().err
 
+    def test_missing_model_file_exits_3(self, tmp_path, capsys):
+        rc = main(["check", "--model", str(tmp_path / "nonexistent.json"),
+                   "--state", "s", "--formula", "p"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("file error: ")
+
     def test_depth_for_unknown_state_exits_3(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -113,6 +119,13 @@ class TestUpdate:
         assert rc == 0
         m = load_model(str(out))
         assert set(m.states) == {"0.s", "1.s"}
+
+    def test_unwritable_out_exits_3(self, model_file, tmp_path, capsys):
+        out = tmp_path / "nonexistent" / "x.json"
+        rc = main(["update", "--model", model_file, "--formula", "p",
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("file error: ")
 
 
 class TestSat:
@@ -243,6 +256,15 @@ class TestExportDot:
         assert rc == 0
         text = out.read_text()
         assert text.count("subgraph cluster_") == 2
+
+    @pytest.mark.parametrize("announce", [[], ["--announce", "p0"]])
+    def test_unknown_state_exits_3(self, three_world_file, capsys, announce):
+        rc = main(["export-dot", "--model", three_world_file, "--state",
+                   "zzz", "--semantics", "ADPAL"] + announce)
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "unknown state 'zzz'" in captured.err
+        assert captured.out == ""
 
 
 def test_determinism_under_seed(tmp_path):

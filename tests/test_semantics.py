@@ -6,13 +6,15 @@ import random
 
 import pytest
 
-from depthlogic.model import Model, model_size, validate
+from depthlogic.model import (REFLEXIVE, Model, load_model, model_size,
+                              save_model, validate)
 from depthlogic.muddy import (
     amnesia_formula,
     build_muddy,
     canonical_depths,
     leakage_formula,
     phi_k,
+    upper_bound_hypothesis,
 )
 from depthlogic.props import RandomSpec, leakage_fixture, random_formula, random_model
 from depthlogic.semantics import (
@@ -37,6 +39,7 @@ from depthlogic.syntax import (
     KnowInf,
     Not,
     f_transform,
+    implies,
     modal_depth,
     parse,
 )
@@ -261,6 +264,57 @@ class TestLabeling:
             for s in m.states:
                 assert check(m, s, f, SemanticsKind.DPAL) == \
                     check_naive(m, s, f, SemanticsKind.DPAL)
+
+
+def _agrees_with_naive(m, f, kind):
+    lab = check_labeling(m, f, kind)
+    row = lab.table[lab.root]
+    assert row == {s: check_naive(m, s, f, kind) for s in m.states}
+    return lab
+
+
+class TestLabelingMasks:
+    """Labels are bitmasks over state indices; these models are far past the
+    one-digit Python ints that the random models' at most 5 states reach."""
+
+    @pytest.mark.parametrize("kind", [SemanticsKind.EDPAL,
+                                      SemanticsKind.ADPAL])
+    def test_upper_bound_on_muddy_seven(self, kind):
+        m = build_muddy(7, 7, canonical_depths(7)).model
+        assert len(m.states) == 127
+        f = implies(upper_bound_hypothesis(7), phi_k(7))
+        _agrees_with_naive(m, f, kind)
+
+    def test_phi_five_under_dpal(self):
+        m = build_muddy(5, 5, canonical_depths(5)).model
+        lab = _agrees_with_naive(m, phi_k(5), SemanticsKind.DPAL)
+        assert max(map(len, lab.states.values())) > 64
+
+    def test_reflexive_model_loaded_from_file(self, tmp_path):
+        m = build_muddy(7, 7, canonical_depths(7)).model
+        for announced in ("K[6] m6", "!K[5] m5"):
+            m = update_adpal(m, parse(announced))
+        path = str(tmp_path / "reflexive.json")
+        save_model(m, path)
+        m = load_model(path)
+        assert m.mode == REFLEXIVE and len(m.states) == 127
+        for f in (phi_k(6), leakage_formula(),
+                  parse("[Kinf[2] m2 | m1] (K[0] m0 | E[1,3])"),
+                  parse("E[0,4] & !E[1,2] & (m1 | E[2,1])"),
+                  parse("[!K[4] m4] (E[4,2] | K[4] !m4)"),
+                  parse("<m3> Kinf[3] (m3 -> P[3,1])")):
+            lab = _agrees_with_naive(m, f, SemanticsKind.ADPAL)
+            assert 0 < lab.masks[lab.root] < (1 << len(m.states)) - 1
+
+    def test_table_row_is_a_plain_dict(self):
+        m = build_muddy(3, 3, canonical_depths(3)).model
+        lab = check_labeling(m, phi_k(3), SemanticsKind.DPAL)
+        row = lab.table[lab.root]
+        assert type(row) is dict
+        assert row == {s: check_naive(m, s, phi_k(3), SemanticsKind.DPAL)
+                       for s in m.states}
+        assert list(row) == list(m.states)
+        assert all(lab.truth(s) is row[s] for s in m.states)
 
 
 def test_f_transform_true_on_three_world_fixture():
