@@ -9,6 +9,10 @@ itself plus its direct successors.  Explicit pairs are read only by
 equivalence-mode model are kept as given, so ``validate`` reports the first
 violation of an unclosed relation.  Pairs never list reflexive loops.
 
+Depths are stored by state index too: one tuple per agent, in state order,
+so ``depth(a, s)`` is an index lookup and ``depths(a)`` hands out the tuple
+itself.  Updates build these tuples directly from their input's.
+
 For the labeling checker a model also offers sets of states as ``int``
 bitmasks, bit i standing for ``states[i]``: per atom, per (agent, depth
 bound) and, in reflexive mode, per state's successors.  Each is built on
@@ -19,10 +23,9 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import count, repeat
-from typing import (Callable, Container, Hashable, Iterable, Iterator, Mapping,
-                    Sequence)
+from itertools import chain, count, repeat
 
 EQUIVALENCE = "equivalence"
 REFLEXIVE = "reflexive"
@@ -42,6 +45,8 @@ class Model:
     equivalence mode as ``class_ids`` (per agent, one hashable class id per
     state, equal ids meaning the same class), or in reflexive mode as
     ``successors`` (per agent, each state's successor set, itself included).
+    Depths come per agent as ``{state: depth}`` (missing states at 0) or as
+    a tuple or list in state order.
     """
 
     __slots__ = ("agents", "states", "mode", "_val", "_rel", "_ids",
@@ -52,14 +57,17 @@ class Model:
                  states: Iterable[str],
                  val: Mapping[str, Iterable[str]],
                  rel: Mapping[int, Iterable[Pair]] | None = None,
-                 depth: Mapping[int, Mapping[str, int]] | None = None,
+                 depth: Mapping[int, Mapping[str, int] | tuple[int, ...]
+                                | list[int]]
+                 | None = None,
                  mode: str = EQUIVALENCE,
                  *,
                  class_ids: Mapping[int, Sequence[Hashable]] | None = None,
                  successors: Mapping[int, Mapping[str, frozenset[str]]]
                  | None = None):
         states = tuple(states)
-        if len(set(states)) != len(states):
+        index = dict(zip(states, count()))
+        if len(index) != len(states):
             raise ModelError("duplicate state names")
         if not (all(map(isinstance, states, repeat(str))) and all(states)):
             raise ModelError("state names must be non-empty strings")
@@ -67,13 +75,10 @@ class Model:
             raise ModelError("need at least one agent")
         if mode not in (EQUIVALENCE, REFLEXIVE):
             raise ModelError(f"unknown mode {mode!r}")
-        index = {s: i for i, s in enumerate(states)}
-        vmap = {}
-        for s in states:
-            vmap[s] = frozenset(val.get(s, ()))
-        for s in val:
-            if s not in index:
-                raise ModelError(f"valuation for unknown state {s!r}")
+        if not val.keys() <= index.keys():
+            unknown = min(val.keys() - index.keys())
+            raise ModelError(f"valuation for unknown state {unknown!r}")
+        vmap = {s: frozenset(val.get(s, ())) for s in states}
         rmap: dict[int, frozenset[Pair]] = {}
         ids: dict[int, tuple[int, ...]] = {}
         succ: dict[int, dict[str, frozenset[str]]] = {}
@@ -122,16 +127,21 @@ class Model:
                 if not 0 <= a < agents:
                     raise ModelError(f"relation for unknown agent {a}")
         depth = depth or {}
-        for a, da in depth.items():
+        for a in depth:
             if not 0 <= a < agents:
                 raise ModelError(f"depth for unknown agent {a}")
-            if not da.keys() <= index.keys():
-                unknown = min(da.keys() - index.keys())
-                raise ModelError(f"depth for unknown state {unknown!r}")
         dmap = {}
         for a in range(agents):
             da = depth.get(a, {})
-            dmap[a] = {s: int(da.get(s, 0)) for s in states}
+            if isinstance(da, (tuple, list)):
+                if len(da) != len(states):
+                    raise ModelError(f"agent {a} needs one depth per state")
+                dmap[a] = tuple(map(int, da))
+            elif da.keys() <= index.keys():
+                dmap[a] = tuple([int(da.get(s, 0)) for s in states])
+            else:
+                unknown = min(da.keys() - index.keys())
+                raise ModelError(f"depth for unknown state {unknown!r}")
         self.agents = agents
         self.states = states
         self.mode = mode
@@ -150,11 +160,11 @@ class Model:
         return self._val[state]
 
     def depth(self, agent: int, state: str) -> int:
-        return self._depth[agent][state]
+        return self._depth[agent][self._index[state]]
 
-    def depths(self, agent: int) -> list[int]:
+    def depths(self, agent: int) -> tuple[int, ...]:
         """The agent's depth at each state, in state order."""
-        return list(self._depth[agent].values())
+        return self._depth[agent]
 
     def pairs(self, agent: int) -> frozenset[Pair]:
         """Non-loop pairs: as given, or built from the successors."""
@@ -218,7 +228,7 @@ class Model:
         mask = self._masks.get(key)
         if mask is None:
             mask = self._masks[key] = mask_of(
-                map(d.__le__, self._depth[agent].values()))
+                map(d.__le__, self._depth[agent]))
         return mask
 
     def successor_masks(self, agent: int) -> tuple[int, ...]:
@@ -234,27 +244,28 @@ class Model:
                 for s in self.states)
         return masks
 
-    def restrict(self, keep: Container[str] | None = None,
-                 depth: Callable[[int, str], int] | None = None) -> Model:
-        """The submodel on the states in ``keep`` (default: all), in this
-        model's order, with depths ``depth(agent, state)`` (default: these).
-        Equivalence classes are restricted, so an unclosed relation given as
-        pairs is restricted as its closure."""
-        idx = [i for i, s in enumerate(self.states)
-               if keep is None or s in keep]
-        states = [self.states[i] for i in idx]
-        depth = depth or self.depth
-        dmap = {a: {s: depth(a, s) for s in states}
-                for a in range(self.agents)}
+    def restrict(self, keep: Sequence[int] | None = None,
+                 depth: Mapping[int, tuple[int, ...] | list[int]]
+                 | None = None) -> Model:
+        """The submodel on the states at the indices ``keep`` (default: all),
+        in that order, with per-agent depths ``depth`` in the submodel's state
+        order (default: these).  Equivalence classes are restricted, so an
+        unclosed relation given as pairs is restricted as its closure."""
+        if keep is None:
+            keep = range(len(self.states))
+        states = tuple(map(self.states.__getitem__, keep))
+        if depth is None:
+            depth = {a: tuple(map(da.__getitem__, keep))
+                     for a, da in self._depth.items()}
         val = {s: self._val[s] for s in states}
         if self.mode == EQUIVALENCE:
-            ids = {a: [self.class_ids(a)[i] for i in idx]
+            ids = {a: tuple(map(self.class_ids(a).__getitem__, keep))
                    for a in range(self.agents)}
-            return Model(self.agents, states, val, depth=dmap, class_ids=ids)
+            return Model(self.agents, states, val, depth=depth, class_ids=ids)
         kept = frozenset(states)
         succ = {a: {s: self.successors(a, s) & kept for s in states}
                 for a in range(self.agents)}
-        return Model(self.agents, states, val, depth=dmap, mode=REFLEXIVE,
+        return Model(self.agents, states, val, depth=depth, mode=REFLEXIVE,
                      successors=succ)
 
     def __repr__(self) -> str:
@@ -388,7 +399,7 @@ def to_dict(m: Model) -> dict:
         "val": {s: sorted(m.atoms(s)) for s in m.states},
         "rel": {str(a): [list(p) for p in sorted(m.pairs(a), key=pair_key)]
                 for a in range(m.agents)},
-        "depth": {str(a): {s: m.depth(a, s) for s in m.states}
+        "depth": {str(a): dict(zip(m.states, m.depths(a)))
                   for a in range(m.agents)},
     }
 
@@ -402,16 +413,54 @@ def save_model(m: Model, path: str) -> None:
         fh.write(canonical_json(m))
 
 
+_JSON_TYPES = {int: "an integer", str: "a string", list: "an array",
+               Mapping: "an object"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind`` (a boolean is no integer),
+    so that a malformed file is refused instead of coerced."""
+    if isinstance(value, kind) and type(value) is not bool:
+        return value
+    raise TypeError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+
+
+def _each(items: Iterable, kind: type, what: str) -> None:
+    """Refuses items whose type is not exactly ``kind`` (one type test per
+    item at C level, as files hold many)."""
+    wrong = set(map(type, items)) - {kind}
+    if wrong:
+        raise TypeError(f"{what} must be {_JSON_TYPES[kind]}, got "
+                        f"{', '.join(sorted(t.__name__ for t in wrong))}")
+
+
 def model_from_dict(data: Mapping) -> Model:
+    """The model a file document describes.  Every field must have the JSON
+    type the file format gives it: ``"states": "st"``, atoms given as one
+    string, or a depth of ``1.7``, ``true`` or ``"3"`` are refused."""
+    def section(key: str) -> Mapping:
+        return _typed(data.get(key, {}), Mapping, key)
+
     try:
-        agents = int(data["agents"])
-        states = list(data["states"])
+        agents = _typed(data["agents"], int, "agents")
+        states = _typed(data["states"], list, "states")
+        _each(states, str, "a state")
         mode = data.get("mode", EQUIVALENCE)
-        val = {s: list(atoms) for s, atoms in data.get("val", {}).items()}
-        rel = {int(a): [tuple(p) for p in pairs]
-               for a, pairs in data.get("rel", {}).items()}
-        depth = {int(a): {s: int(d) for s, d in per.items()}
-                 for a, per in data.get("depth", {}).items()}
+        val = section("val")
+        _each(val.values(), list, "a valuation")
+        _each(chain.from_iterable(val.values()), str, "an atom")
+        rel = {}
+        for a, pairs in section("rel").items():
+            _each(_typed(pairs, list, "a relation"), list, "a pair")
+            if set(map(len, pairs)) - {2}:
+                raise ValueError("a pair must name two states")
+            _each(chain.from_iterable(pairs), str, "a state")
+            rel[int(a)] = list(map(tuple, pairs))
+        depth = {}
+        for a, per in section("depth").items():
+            _each(_typed(per, Mapping, "a depth map").values(), int,
+                  "a depth")
+            depth[int(a)] = per
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model document: {exc}") from exc
     m = Model(agents=agents, states=states, val=val, rel=rel, depth=depth,

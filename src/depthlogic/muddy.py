@@ -128,8 +128,10 @@ def lower_bound_sweep(k: int, max_depth: int = 3) -> SweepReport:
     base = build_muddy(k, k, canonical_depths(k))
     phi = phi_k(k)
     f = implies(phi, lower_bound_conclusion(k))
+    n = len(base.model.states)
     for values in itertools.product(range(max_depth + 1), repeat=k):
-        model = base.model.restrict(depth=lambda a, s: values[a])
+        model = base.model.restrict(depth={a: (d,) * n
+                                           for a, d in enumerate(values)})
         inst = MuddyInstance(n=k, k=k, model=model)
         report.cases += 1
         if not check(inst.model, inst.initial, f, SemanticsKind.DPAL):

@@ -403,10 +403,11 @@ def minimize(m: Model, state: str, f: Formula, kind: SemanticsKind
     changed = True
     while changed:
         changed = False
-        for drop in list(m.states):
-            if drop == state or len(m.states) == 1:
+        for drop, name in enumerate(m.states):
+            if name == state or len(m.states) == 1:
                 continue
-            smaller = m.restrict(set(m.states) - {drop})
+            keep = [i for i in range(len(m.states)) if i != drop]
+            smaller = m.restrict(keep)
             if fails(smaller, state, f):
                 m = smaller
                 changed = True

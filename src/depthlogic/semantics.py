@@ -14,6 +14,7 @@ cached depth masks.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -108,10 +109,13 @@ def _truth_map(m: Model, announced: Formula, kind: SemanticsKind,
     return truth
 
 
+_COPY_PREFIX = ("0.", "1.")
+
+
 def dpal_copy(state: str, positive: bool) -> str:
     """Name of a state's copy after a DPAL update: ``1.s`` for the positive
     copy (the announcement was heard), ``0.s`` for the negative one."""
-    return ("1." if positive else "0.") + state
+    return _COPY_PREFIX[positive] + state
 
 
 def update_dpal(m: Model, announced: Formula,
@@ -125,20 +129,26 @@ def update_dpal(m: Model, announced: Formula,
     truth = _truth_map(m, announced, SemanticsKind.DPAL, truth)
     dphi = modal_depth(announced)
     n = len(m.states)   # class ids are state indices, below this
-    pos = list(compress(range(n), map(truth.__getitem__, m.states)))
-    states = (list(map(dpal_copy, m.states, repeat(False)))
-              + [dpal_copy(m.states[i], True) for i in pos])
+    flags = list(map(truth.__getitem__, m.states))
+    neg, pos = _COPY_PREFIX
+    states = (list(map(neg.__add__, m.states))
+              + list(map(pos.__add__, compress(m.states, flags))))
     atoms = list(map(m.atoms, m.states))
-    val = dict(zip(states, atoms + [atoms[i] for i in pos]))
+    val = dict(zip(states, atoms + list(compress(atoms, flags))))
     depth = {}
     class_ids = {}
     for a in range(m.agents):
         ids, da = m.class_ids(a), m.depths(a)
-        linked = {ids[i] for i in pos if da[i] < dphi}
-        class_ids[a] = ids + tuple(ids[i] if ids[i] in linked else ids[i] + n
-                                   for i in pos)
-        depth[a] = dict(zip(states, da + [da[i] - dphi if da[i] >= dphi
-                                          else da[i] for i in pos]))
+        pos_ids = list(compress(ids, flags))
+        pos_da = list(compress(da, flags))
+        # a class links its copies iff the agent is too shallow at one of its
+        # announcement states; the 1. copies of the others get new ids
+        linked = set(compress(pos_ids, map(dphi.__gt__, pos_da)))
+        new_id = {c: c if c in linked else c + n for c in set(pos_ids)}
+        class_ids[a] = ids + tuple(map(new_id.__getitem__, pos_ids))
+        # deep enough agents hear the announcement and lose its depth
+        shifted = {d: d - dphi if d >= dphi else d for d in set(pos_da)}
+        depth[a] = da + tuple(map(shifted.__getitem__, pos_da))
     return Model(agents=m.agents, states=states, val=val, depth=depth,
                  mode=EQUIVALENCE, class_ids=class_ids)
 
@@ -151,8 +161,11 @@ def update_edpal(m: Model, announced: Formula,
         raise ModeError("EDPAL update requires an equivalence-mode model")
     truth = _truth_map(m, announced, SemanticsKind.EDPAL, truth)
     dphi = modal_depth(announced)
-    return m.restrict({s for s in m.states if truth[s]},
-                      lambda a, s: m.depth(a, s) - dphi)
+    flags = list(map(truth.__getitem__, m.states))
+    depth = {a: tuple(map(operator.sub, compress(m.depths(a), flags),
+                          repeat(dphi)))
+             for a in range(m.agents)}
+    return m.restrict(list(compress(range(len(flags)), flags)), depth)
 
 
 def update_adpal(m: Model, announced: Formula,
@@ -164,16 +177,17 @@ def update_adpal(m: Model, announced: Formula,
     dphi = modal_depth(announced)
     yes = frozenset(s for s in m.states if truth[s])
     succ: dict[int, dict[str, frozenset[str]]] = {}
-    depth: dict[int, dict[str, int]] = {}
+    depth: dict[int, list[int]] = {}
     for a in range(m.agents):
-        succ[a], depth[a] = {}, {}
-        for s in m.states:
-            ts, d = m.successors(a, s), m.depth(a, s)
+        succ[a], depth[a] = {}, []
+        for s, d in zip(m.states, m.depths(a)):
+            ts = m.successors(a, s)
             if d >= dphi:
                 d -= dphi
                 cut = ts & yes if truth[s] else ts - yes
                 ts = cut if len(cut) < len(ts) else ts   # else shared with m
-            succ[a][s], depth[a][s] = ts, d
+            succ[a][s] = ts
+            depth[a].append(d)
     val = {s: m.atoms(s) for s in m.states}
     return Model(agents=m.agents, states=m.states, val=val, depth=depth,
                  mode=REFLEXIVE, successors=succ)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from depthlogic.cli import main
-from depthlogic.model import load_model, save_model
+from depthlogic.model import load_model, save_model, to_dict
 
 
 @pytest.fixture
@@ -102,6 +102,28 @@ def test_formula_naming_unknown_agent_exits_3(model_file, capsys, argv):
     rc = main(argv[:1] + ["--model", model_file] + argv[1:])
     assert rc == 3
     assert "unknown agent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("val", [["p"]]),
+    ("rel", [[]]),
+    ("depth", [{"s": 0}]),
+    ("depth", {"0": [1]}),         # the in-memory sequence form
+    ("depth", {"0": {"s": 1.7}}),  # coerced to 1 before
+    ("states", "s"),               # coerced to ["s"] before
+])
+@pytest.mark.parametrize("argv", [
+    ["check", "--state", "s", "--formula", "p"],
+    ["update", "--formula", "p"],
+    ["export-dot", "--state", "s"],
+])
+def test_malformed_model_file_exits_3(tmp_path, one_state_model, capsys,
+                                      key, value, argv):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**to_dict(one_state_model), key: value}))
+    rc = main(argv[:1] + ["--model", str(path)] + argv[1:])
+    assert rc == 3
+    assert "malformed model document" in capsys.readouterr().err
 
 
 class TestUpdate:

@@ -22,6 +22,9 @@ from depthlogic.model import (
 )
 from depthlogic.muddy import build_muddy, canonical_depths
 from depthlogic.props import RandomSpec, random_model
+from depthlogic.semantics import (SemanticsKind, check_naive, dpal_copy,
+                                  update_adpal, update_dpal, update_edpal)
+from depthlogic.syntax import Atom, Know
 
 
 def chain_model(mode="equivalence", close=True):
@@ -181,7 +184,7 @@ class TestClassIds:
         assert m.classes(0) == (frozenset({"a", "b", "c"}),)
 
     def test_restrict_keeps_classes_and_takes_depths(self):
-        m = chain_model().restrict({"a", "c"}, lambda a, s: 3)
+        m = chain_model().restrict([0, 2], {0: [3, 3]})
         assert m.states == ("a", "c")
         assert m.classes(0) == (frozenset({"a", "c"}),)
         assert m.depth(0, "c") == 3 and m.atoms("a") == {"p"}
@@ -214,7 +217,7 @@ class TestSuccessorSets:
                   successors=successors)
 
     def test_restrict_drops_edges_to_removed_states(self, three_world_model):
-        m = three_world_model.restrict({"0", "1"})
+        m = three_world_model.restrict([0, 1])
         assert m.mode == "reflexive" and m.states == ("0", "1")
         assert m.pairs(1) == {("0", "1"), ("1", "0")}
         assert m.successors(1, "1") == {"0", "1"}
@@ -263,3 +266,108 @@ class TestSerialization:
         data["depth"] = depth
         with pytest.raises(ModelError):
             model_from_dict(data)
+
+    # each field must have its JSON type; the in-memory sequence form of
+    # depths is not a file form
+    @pytest.mark.parametrize("key,value", [
+        ("val", [["p"], [], []]),
+        ("rel", [[["a", "b"]]]),
+        ("depth", [{"a": 0}]),
+        ("depth", {"0": [1, 1, 1]}),
+        ("rel", {"0": {"a": "b"}}),
+        ("val", {"a": {"p": True}}),
+    ])
+    def test_array_or_object_in_the_wrong_place_rejected(self, key, value):
+        data = to_dict(chain_model())
+        data[key] = value
+        with pytest.raises(ModelError, match="malformed model document"):
+            model_from_dict(data)
+
+    @pytest.mark.parametrize("key,value", [
+        ("states", "abc"),
+        ("val", {"a": "pq"}),
+        ("val", {"a": [1]}),
+        ("rel", {"0": ["ab"]}),
+        ("rel", {"0": [["a", "b", "c"]]}),
+        ("rel", {"0": [[["a"], "b"]]}),
+        ("depth", {"0": {"a": 1.7}}),
+        ("depth", {"0": {"a": True}}),
+        ("depth", {"0": {"a": "3"}}),
+        ("agents", 1.5),
+        ("agents", True),
+        ("agents", "1"),
+    ])
+    def test_values_of_the_wrong_type_rejected(self, key, value):
+        data = to_dict(chain_model())
+        data[key] = value
+        with pytest.raises(ModelError, match="malformed model document"):
+            model_from_dict(data)
+
+    def test_document_that_is_not_an_object_rejected(self):
+        with pytest.raises(ModelError, match="malformed model document"):
+            loads_model("[1, 2]")
+
+
+class TestDepthsByIndex:
+    """Depths given by state name are stored in state order, and every
+    update keeps each copy's depth bound to the state it came from."""
+
+    @pytest.fixture
+    def shuffled(self):
+        # key order differs from the state order, and "b" is left out
+        return Model(agents=2, states=["a", "b", "c", "d"],
+                     val={"a": ["p"], "c": ["p"]},
+                     class_ids={0: [0, 0, 1, 1], 1: [0, 1, 0, 1]},
+                     depth={0: {"d": 3, "c": 2, "a": 1}, 1: {"c": 5}})
+
+    def test_map_in_any_order_with_missing_states_at_zero(self, shuffled):
+        assert shuffled.depths(0) == (1, 0, 2, 3)
+        assert shuffled.depths(1) == (0, 0, 5, 0)
+        assert shuffled.depths(0) is shuffled.depths(0)
+        assert [shuffled.depth(0, s) for s in "abcd"] == [1, 0, 2, 3]
+        assert to_dict(shuffled)["depth"]["0"] == {"a": 1, "b": 0, "c": 2,
+                                                   "d": 3}
+
+    def test_sequence_form_is_the_same_model(self, shuffled):
+        by_index = Model(agents=2, states=["a", "b", "c", "d"],
+                         val={"a": ["p"], "c": ["p"]},
+                         class_ids={0: [0, 0, 1, 1], 1: [0, 1, 0, 1]},
+                         depth={0: [1, 0, 2, 3], 1: (0, 0, 5, 0)})
+        assert canonical_json(by_index) == canonical_json(shuffled)
+
+    @pytest.mark.parametrize("column", [[1, 2, 3], [1, 2, 3, 4, 5], []])
+    def test_sequence_of_wrong_length_rejected(self, column):
+        with pytest.raises(ModelError):
+            Model(agents=1, states=["a", "b", "c", "d"], val={},
+                  depth={0: column})
+
+    def test_restrict_binds_depths_to_kept_states(self, shuffled):
+        m = shuffled.restrict([3, 0])
+        assert m.states == ("d", "a")
+        assert [m.depth(0, s) for s in m.states] == [3, 1]
+        assert [m.depth(1, s) for s in m.states] == [0, 0]
+        m = shuffled.restrict([2, 1], {0: [7, 8], 1: (9, 6)})
+        assert (m.depth(0, "c"), m.depth(0, "b")) == (7, 8)
+        assert (m.depth(1, "c"), m.depth(1, "b")) == (9, 6)
+
+    def test_updates_bind_depths_to_copies(self, shuffled):
+        announced = Know(1, Atom("p"))   # modal depth 1, true at a and c
+        truth = {s: check_naive(shuffled, s, announced, SemanticsKind.DPAL)
+                 for s in shuffled.states}
+        assert [s for s in shuffled.states if truth[s]] == ["a", "c"]
+
+        def heard(d):
+            return d - 1 if d >= 1 else d
+
+        dpal = update_dpal(shuffled, announced)
+        edpal = update_edpal(shuffled, announced)
+        adpal = update_adpal(shuffled, announced)
+        assert edpal.states == ("a", "c")
+        for a in range(2):
+            for s in shuffled.states:
+                d = shuffled.depth(a, s)
+                assert dpal.depth(a, dpal_copy(s, False)) == d
+                assert adpal.depth(a, s) == heard(d)
+                if truth[s]:
+                    assert dpal.depth(a, dpal_copy(s, True)) == heard(d)
+                    assert edpal.depth(a, s) == d - 1
