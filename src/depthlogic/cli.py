@@ -54,13 +54,23 @@ def _check_agents(m: Model, formulas: list[Formula]) -> None:
         raise ModelError(f"formula names unknown agent {min(unknown)}")
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return int(text)
+    return integer
+
+
 def _add_formula_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--formula", help="formula text")
     p.add_argument("--formula-file", help="file containing the formula")
 
 
-def _add_semantics_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--semantics", default="DPAL",
+def _add_semantics_flag(p: argparse.ArgumentParser,
+                        default: str | None = "DPAL") -> None:
+    p.add_argument("--semantics", default=default,
                    choices=["DBEL", "DPAL", "EDPAL", "ADPAL"])
 
 
@@ -184,7 +194,10 @@ def cmd_muddy(args: argparse.Namespace) -> int:
 def cmd_axioms(args: argparse.Namespace) -> int:
     spec = props.RandomSpec(agents=2, max_depth=3, max_states=args.max_states,
                             seed=args.seed)
-    kind = _semantics(args.semantics)
+    # omitted --semantics: DPAL for --property, else the table's own
+    kind = (_semantics(args.semantics) if args.semantics
+            else SemanticsKind.DPAL if args.property
+            else props._TABLE_KIND[args.table])
     if args.property:
         report = props.kp_ta_suite(kind, args.property, spec,
                                    cases=args.cases,
@@ -278,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sat", help="bounded satisfiability search")
     _add_formula_flags(p)
     _add_semantics_flag(p)
-    p.add_argument("--max-states", type=int, default=3)
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-states", type=_at_least(1), default=3)
+    p.add_argument("--max-depth", type=_at_least(0), default=None)
     p.set_defaults(fn=cmd_sat)
 
     p = sub.add_parser("muddy", help="muddy children experiments")
@@ -306,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--unambiguous", action="store_true",
                    help="draw only models with unambiguous depths")
-    _add_semantics_flag(p)
+    _add_semantics_flag(p, default=None)
     p.set_defaults(fn=cmd_axioms)
 
     p = sub.add_parser("bench", help="CSV benchmarks")

@@ -85,10 +85,7 @@ def sequence_to_dot(m: Model, announcements: list[Formula],
     lines = [f"digraph \"{name}\" {{", "  rankdir=LR;",
              "  node [shape=box fontsize=10];"]
     for i, (model, here) in enumerate(steps):
-        if i == 0:
-            title = "initial"
-        else:
-            title = f"after [{to_text(announcements[i - 1])}]"
+        title = f"after [{to_text(announcements[i - 1])}]" if i else "initial"
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="{title}";')
         prefix = f"s{i}:"

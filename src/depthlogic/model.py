@@ -356,12 +356,8 @@ def validate(m: Model, mode: str | None = None) -> ViolationReport | None:
 
 def is_unambiguous(m: Model) -> bool:
     """True iff each agent's depth is constant on each of its own classes."""
-    for a in range(m.agents):
-        for cls in m.classes(a):
-            depths = {m.depth(a, s) for s in cls}
-            if len(depths) > 1:
-                return False
-    return True
+    return all(len({m.depth(a, s) for s in cls}) == 1
+               for a in range(m.agents) for cls in m.classes(a))
 
 
 def connected_component(m: Model, state: str, agent: int) -> frozenset[str]:

@@ -4,14 +4,16 @@ reduction used for the NP-hardness benchmark."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .model import EQUIVALENCE, Model
-from .semantics import SemanticsKind, check, check_naive, dpal_copy
+# check_naive is unused here, but the traced benchmark wraps
+# muddy.check_naive by name
+from .semantics import (SemanticsKind, _known, check, check_labeling,
+                        check_naive, dpal_copy)
 from .syntax import (And, Announce, Atom, DepthAtLeast, Formula, Know,
-                     KnowInf, Not, TOP, conj, disj, dual, implies,
-                     modal_depth)
+                     KnowInf, Not, TOP, conj, disj, dual, implies)
 
 DepthFn = Callable[[int, str], int]
 
@@ -107,11 +109,8 @@ class SweepReport:
     k: int
     cases: int = 0
     violations: int = 0
-    witnesses: list[tuple[tuple[int, ...], str]] = None
-
-    def __post_init__(self) -> None:
-        if self.witnesses is None:
-            self.witnesses = []
+    witnesses: list[tuple[tuple[int, ...], str]] = field(
+        default_factory=list)
 
 
 def lower_bound_check(k: int, depth_fn: DepthFn) -> bool:
@@ -191,9 +190,9 @@ class ThreeSatInstance:
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
+        lits = set(range(-self.n, self.n + 1)) - {0}
         for cl in self.clauses:
-            if len(cl) != 3 or any(lit == 0 or abs(lit) > self.n
-                                   for lit in cl):
+            if len(cl) != 3 or not lits.issuperset(cl):
                 raise ValueError(f"bad clause {cl!r}")
 
 
@@ -214,12 +213,14 @@ def _reduction_model(n: int) -> Model:
                  mode=EQUIVALENCE)
 
 
-def _phi_prime(inst: ThreeSatInstance) -> Formula:
+def _clause(cl: tuple[int, ...]) -> Formula:
     # literal a_i becomes "agent i has leftover depth", i.e. P[i,1]
-    return conj(*(
-        disj(*(DepthAtLeast(abs(lit), 1) if lit > 0
-               else Not(DepthAtLeast(abs(lit), 1)) for lit in cl))
-        for cl in inst.clauses))
+    return disj(*(DepthAtLeast(abs(lit), 1) if lit > 0
+                  else Not(DepthAtLeast(abs(lit), 1)) for lit in cl))
+
+
+def _phi_prime(inst: ThreeSatInstance) -> Formula:
+    return conj(*map(_clause, inst.clauses))
 
 
 def reduce_3sat(inst: ThreeSatInstance) -> tuple[Model, Formula]:
@@ -236,24 +237,39 @@ def reduce_3sat(inst: ThreeSatInstance) -> tuple[Model, Formula]:
     return _reduction_model(n), body
 
 
-_FINAL_CACHE: dict[int, Model] = {}
+# per variable count n: the final model, the index of s's all-positive copy
+# in it, and each clause's label mask there, keyed by its sorted literals
+_FINAL_CACHE: dict[int, tuple[Model, int, dict[tuple[int, ...], int]]] = {}
 
 
 def reduction_decide(inst: ThreeSatInstance) -> bool:
-    """DPAL truth of the reduction formula, evaluating the clause part on
-    the (cached) post-announcement model; the announcements depend only on
-    the variable count and are true everywhere."""
+    """DPAL truth of the reduction formula at ``s``: the announcements depend
+    only on n and hold everywhere, so it is ``!K[0] !phi'`` at ``s``'s
+    all-positive copy in the final model.  ``check_labeling`` labels each
+    clause there once per n, so n's table holds at most one mask per sorted
+    literal triple, C(2n+2, 3) (56 at n=3).  An instance costs one ``&`` per
+    clause plus the observer's ``K`` step; nothing keyed by it is kept."""
     n = inst.n
-    final = _FINAL_CACHE.get(n)
-    if final is None:
+    table = _FINAL_CACHE.get(n)
+    if table is None:
         for final in reduction_steps(ThreeSatInstance(n, ((1, 1, 1),))):
             pass
-        _FINAL_CACHE[n] = final
-    state = "s"
-    for _ in range(n):
-        state = dpal_copy(state, True)
-    goal = Not(Know(0, Not(_phi_prime(inst))))
-    return check_naive(final, state, goal, SemanticsKind.DPAL)
+        state = "s"
+        for _ in range(n):
+            state = dpal_copy(state, True)
+        table = _FINAL_CACHE[n] = (final, final.state_index(state), {})
+    final, index, masks = table
+    phi = full = (1 << len(final.states)) - 1
+    for cl in inst.clauses:
+        key = tuple(sorted(cl))
+        mask = masks.get(key)
+        if mask is None:
+            lab = check_labeling(final, _clause(key), SemanticsKind.DPAL)
+            mask = masks[key] = lab.masks[lab.root]
+        phi &= mask
+    # the labeling's K rule; the depth gate is modal_depth(!phi') = 0
+    known = _known(final, 0, phi ^ full) & final.depth_mask(0, 0)
+    return not known >> index & 1
 
 
 def reduction_steps(inst: ThreeSatInstance) -> Iterator[Model]:

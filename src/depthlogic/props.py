@@ -15,7 +15,7 @@ from typing import Callable
 from .model import EQUIVALENCE, REFLEXIVE, Model
 from .semantics import (SemanticsKind, check_naive, holds_everywhere)
 from .syntax import (And, Announce, Atom, DepthAtLeast, DepthExact, Formula,
-                     Know, KnowInf, Not, TOP, conj, disj, f_transform, iff,
+                     Know, KnowInf, Not, TOP, disj, f_transform, iff,
                      implies, modal_depth, or_, to_text)
 
 ATOM_POOL = ("p", "q", "r")
@@ -310,10 +310,6 @@ _TABLE_KIND = {TABLE_T1: SemanticsKind.DBEL,
                TABLE_DPAL_SOUND: SemanticsKind.DPAL}
 
 
-def instantiate_axiom(schema: AxiomSchema, spec: RandomSpec) -> Formula:
-    return schema.instantiate(random.Random(spec.seed), spec)
-
-
 # -- KP/TA instances --
 
 def kp_ta_instance(variant: str, agent: int, phi: Formula, psi: Formula,
@@ -426,14 +422,19 @@ def minimize(m: Model, state: str, f: Formula, kind: SemanticsKind
     return m, state, f
 
 
-def _record(report: SuiteReport, name: str, f: Formula, m: Model, state: str,
-            kind: SemanticsKind) -> None:
+def _record(report: SuiteReport, name: str, f: Formula, m: Model,
+            kind: SemanticsKind) -> bool:
+    """Whether f fails somewhere on m, recording its minimized violation."""
+    ok, state = holds_everywhere(m, f, kind)
+    if ok:
+        return False
     # guard against labeling bugs: only surface if the naive oracle agrees
     if check_naive(m, state, f, kind):
         raise AssertionError(
             f"labeling/naive checker disagreement on {to_text(f)} at {state}")
     m, state, f = minimize(m, state, f, kind)
     report.violations.append(Violation(name, f, m, state))
+    return True
 
 
 # -- suites --
@@ -443,7 +444,8 @@ def soundness_suite(table: str, kind: SemanticsKind, spec: RandomSpec,
                     max_violations: int = 5,
                     unambiguous: bool = False) -> SuiteReport:
     if _TABLE_KIND[table] is not kind:
-        raise ValueError(f"table {table} is stated for {_TABLE_KIND[table]}")
+        raise ValueError(
+            f"table {table} is stated for {_TABLE_KIND[table].value}")
     rng = random.Random(spec.seed)
     pool = [random_model(rng, spec, unambiguous) for _ in range(models)]
     rows = TABLE_ROWS[table]
@@ -454,9 +456,7 @@ def soundness_suite(table: str, kind: SemanticsKind, spec: RandomSpec,
         report.cases += 1
         for m in pool:
             report.checks += 1
-            ok, state = holds_everywhere(m, inst, kind)
-            if not ok:
-                _record(report, schema.name, inst, m, state, kind)
+            if _record(report, schema.name, inst, m, kind):
                 if len(report.violations) >= max_violations:
                     return report
                 break
@@ -489,11 +489,9 @@ def kp_ta_suite(kind: SemanticsKind, variant: str, spec: RandomSpec,
         inst = kp_ta_instance(variant, a, phi, psi, direction)
         report.cases += 1
         report.checks += 1
-        ok, state = holds_everywhere(m, inst, kind)
-        if not ok:
-            _record(report, report.name, inst, m, state, kind)
-            if len(report.violations) >= max_violations:
-                return report
+        if (_record(report, report.name, inst, m, kind)
+                and len(report.violations) >= max_violations):
+            return report
     return report
 
 
@@ -518,11 +516,9 @@ def amnesia_suite(spec: RandomSpec, cases: int = 100,
         inst = amnesia_instance(a, phi, psi)
         report.cases += 1
         report.checks += 1
-        ok, state = holds_everywhere(m, inst, kind)
-        if not ok:
-            _record(report, report.name, inst, m, state, kind)
-            if len(report.violations) >= max_violations:
-                return report
+        if (_record(report, report.name, inst, m, kind)
+                and len(report.violations) >= max_violations):
+            return report
     return report
 
 
@@ -615,9 +611,6 @@ def necessitation_probe(spec: RandomSpec, cases: int = 40,
         a = rng.randrange(spec.agents)
         g = implies(DepthAtLeast(a, modal_depth(f)), Know(a, f))
         for m in pool:
-            ok, state = holds_everywhere(m, g, SemanticsKind.DBEL)
-            if not ok:
-                _record(report, "necessitation", g, m, state,
-                        SemanticsKind.DBEL)
+            if _record(report, "necessitation", g, m, SemanticsKind.DBEL):
                 break
     return report

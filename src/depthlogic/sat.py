@@ -59,13 +59,10 @@ def closure(gamma: Iterable[Formula]) -> Closure:
         elif isinstance(f, KnowInf):
             add(f.sub)
 
-    out: list[Formula] = []
     for f in gamma:
         _check_fragment(f)
         add(f)
-    for f in seen:
-        out.append(f)
-        out.append(Not(f))
+    out = [g for f in seen for g in (f, Not(f))]
     dmax = max((max_depth_constant(f) for f in out), default=0) + 1
     agents = tuple(sorted(set().union(*(agents_of(f) for f in out))
                           if out else ()))
@@ -108,11 +105,8 @@ def is_type(gamma_subset: Iterable[Formula], cl: Closure
 
     # rule 1: for non-negations, exactly one of psi / !psi
     for f in cl.formulas:
-        if isinstance(f, Not):
-            continue
-        if (Not(f) in gamma) == (f not in gamma):
-            continue
-        return RuleViolation(1, (f,))
+        if not isinstance(f, Not) and (Not(f) in gamma) != (f not in gamma):
+            return RuleViolation(1, (f,))
     # rule 2: conjunctions agree with their conjuncts
     for f in cl.formulas:
         if isinstance(f, And):
@@ -210,23 +204,13 @@ def satisfies_literals(gamma_subset: Iterable[Formula],
 
 # -- bounded brute force --
 
-def _set_partitions(n: int) -> Iterator[tuple[int, ...]]:
+def _set_partitions(n: int) -> list[tuple[int, ...]]:
     # restricted growth strings enumerate partitions without relabeling;
-    # each string gives every item's block number
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
-
-    def rec(i: int, m: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(rgs)
-            return
-        for b in range(m + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(m, b))
-
-    yield from rec(1, 0)
+    # each string gives every item's block number, in lexicographic order
+    rgs: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        rgs = [p + (b,) for p in rgs for b in range(max(p, default=-1) + 2)]
+    return rgs
 
 
 def _bell(n: int) -> int:
@@ -258,7 +242,7 @@ def enumerate_models(f: Formula, max_states: int, max_depth: int,
             f"bounds exceeded: ~{total} candidate models (limit {limit})")
     for n in range(1, max_states + 1):
         states = [f"s{i}" for i in range(n)]
-        partitions = list(_set_partitions(n))
+        partitions = _set_partitions(n)
         valuations = list(itertools.product(
             *([[frozenset(c) for c in _subsets(atoms)]] * n)))
         depth_vecs = list(itertools.product(range(max_depth + 1),

@@ -104,9 +104,8 @@ def update(m: Model, announced: Formula, kind: SemanticsKind,
 
 def _truth_map(m: Model, announced: Formula, kind: SemanticsKind,
                truth: dict[str, bool] | None) -> dict[str, bool]:
-    if truth is None:
-        truth = {s: check_naive(m, s, announced, kind) for s in m.states}
-    return truth
+    return truth if truth is not None else {
+        s: check_naive(m, s, announced, kind) for s in m.states}
 
 
 _COPY_PREFIX = ("0.", "1.")

@@ -164,6 +164,16 @@ class TestSat:
         assert rc == 0
         assert "none-within-bounds" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bound", [["--max-states", "0"],
+                                       ["--max-states", "-2"],
+                                       ["--max-depth", "-1"]])
+    def test_impossible_bound_exits_2(self, bound, capsys):
+        rc = main(["sat", "--formula", "p", *bound])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "none-within-bounds" not in captured.out
+        assert bound[0] in captured.err
+
 
 class TestMuddy:
     def test_phi_k_true(self, capsys):
@@ -234,6 +244,19 @@ class TestAxioms:
         assert rc == 1
         out = capsys.readouterr().out
         assert "violations" in out and "0 violations" not in out
+
+    def test_bare_command_uses_the_tables_semantics(self, capsys):
+        # T1 is stated for DBEL, so the bare command checks it under DBEL
+        rc = main(["axioms"])
+        assert rc == 0
+        assert "T1: 300 cases" in capsys.readouterr().out
+
+    def test_table_semantics_mismatch_exits_3(self, capsys):
+        rc = main(["axioms", "--table", "T1", "--semantics", "DPAL"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "stated for DBEL" in err
+        assert "SemanticsKind" not in err
 
     def test_unambiguous_flag_accepted(self):
         rc = main(["axioms", "--table", "T1", "--semantics", "DBEL",

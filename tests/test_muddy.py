@@ -26,7 +26,7 @@ from depthlogic.muddy import (
     upper_bound_check,
     upper_bound_hypothesis,
 )
-from depthlogic.semantics import SemanticsKind, check
+from depthlogic.semantics import SemanticsKind, check, check_naive
 from depthlogic.syntax import modal_depth, parse, to_text
 
 ALL_KINDS = (SemanticsKind.DPAL, SemanticsKind.EDPAL, SemanticsKind.ADPAL)
@@ -179,6 +179,24 @@ class TestReduction:
         rng.shuffle(pool)
         for inst in pool[:200]:
             assert reduction_decide(inst) == truth_table_sat(inst)
+
+    def test_shortcut_agrees_with_full_formula(self):
+        # round-robin over n, so a per-n table read under another n shows
+        rng = random.Random(7)
+        seen = {n: set() for n in (1, 2, 3)}
+        for _ in range(200):
+            for n in (1, 2, 3):
+                lits = [v * sign for v in range(1, n + 1) for sign in (1, -1)]
+                clauses = tuple(tuple(rng.choice(lits) for _ in range(3))
+                                for _ in range(rng.randint(1, 8)))
+                inst = ThreeSatInstance(n, clauses)
+                m, f = reduce_3sat(inst)
+                want = truth_table_sat(inst)
+                assert reduction_decide(inst) == want, inst
+                assert check(m, "s", f, SemanticsKind.DPAL) == want, inst
+                assert check_naive(m, "s", f, SemanticsKind.DPAL) == want, inst
+                seen[n].add(want)
+        assert all(verdicts == {False, True} for verdicts in seen.values())
 
 
 def test_all_small_instances_count():
