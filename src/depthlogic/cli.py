@@ -313,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["KP", "TA", "KPp", "TAp"])
     p.add_argument("--direction", default="both",
                    choices=["both", "forward", "reverse"])
-    p.add_argument("--cases", type=int, default=300)
-    p.add_argument("--models", type=int, default=50)
-    p.add_argument("--max-states", type=int, default=5)
+    p.add_argument("--cases", type=_at_least(1), default=300)
+    p.add_argument("--models", type=_at_least(1), default=50)
+    p.add_argument("--max-states", type=_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--unambiguous", action="store_true",
                    help="draw only models with unambiguous depths")
@@ -325,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="CSV benchmarks")
     p.add_argument("--family", default="all",
                    choices=["blowup", "3sat", "all"])
-    p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--max-vars", type=int, default=3)
+    p.add_argument("--cases", type=_at_least(1), default=100)
+    p.add_argument("--max-vars", type=_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bench)

@@ -2,13 +2,14 @@
 
 Two checking routes are provided: ``check_naive`` is a direct recursive
 evaluator (the oracle), and ``check``/``check_labeling`` implement the
-bottom-up subformula labeling algorithm with one model update per
-announcement node.  The labeling keeps each subformula's label as one
-``int`` bitmask over the states of its model (bit i for ``states[i]``), so
-``!`` and ``&`` are single integer operations.  ``K``/``Kinf`` drop the
-classes that reach outside the label (equivalence mode) or test each
-state's successor mask (reflexive mode), and ``K`` is gated by the model's
-cached depth masks.
+bottom-up subformula labeling algorithm.  Within one call, it labels each
+formula node object once per model and runs each announcement's update once
+per (model, announced node object); nothing is cached across calls.  The
+labeling keeps each subformula's label as one ``int`` bitmask over the
+states of its model (bit i for ``states[i]``), so ``!`` and ``&`` are single
+integer operations.  ``K``/``Kinf`` drop the classes that reach outside the
+label (equivalence mode) or test each state's successor mask (reflexive
+mode), and ``K`` is gated by the model's cached depth masks.
 """
 
 from __future__ import annotations
@@ -40,16 +41,20 @@ class ModeError(ValueError):
     pass
 
 
-def _require(m: Model, f: Formula, kind: SemanticsKind) -> None:
-    if kind is SemanticsKind.DBEL:
-        if any(isinstance(g, Announce) for g in walk(f)):
-            raise FragmentError("DBEL formulas cannot contain announcements")
-        if m.mode != EQUIVALENCE:
-            raise ModeError("DBEL requires an equivalence-mode model")
-    elif kind in (SemanticsKind.DPAL, SemanticsKind.EDPAL):
-        if m.mode != EQUIVALENCE:
-            raise ModeError(f"{kind.value} requires an equivalence-mode model")
+_NO_DBEL_ANNOUNCE = "DBEL formulas cannot contain announcements"
+
+
+def _require_mode(m: Model, kind: SemanticsKind) -> None:
     # ADPAL accepts both modes; equivalence models are demoted on update.
+    if kind is not SemanticsKind.ADPAL and m.mode != EQUIVALENCE:
+        raise ModeError(f"{kind.value} requires an equivalence-mode model")
+
+
+def _require(m: Model, f: Formula, kind: SemanticsKind) -> None:
+    if kind is SemanticsKind.DBEL and any(
+            isinstance(g, Announce) for g in walk(f)):
+        raise FragmentError(_NO_DBEL_ANNOUNCE)
+    _require_mode(m, kind)
 
 
 def _mapped_state(kind: SemanticsKind, state: str) -> str:
@@ -196,13 +201,16 @@ def update_adpal(m: Model, announced: Formula,
 
 @dataclass
 class Labeling:
-    """Truth of each subformula tree node, as a bitmask per node.
+    """Truth of each labeled subformula, as a bitmask per label.
 
-    Nodes are preorder ids over the announcement tree; each announcement body
-    is labeled on the updated model.  Bit i of ``masks[node]`` stands for
-    ``states[node][i]``, the i-th state of the model the node was labeled on.
-    ``table`` shows the same labels as ``{node: {state: bool}}``, building
-    each row when it is read."""
+    Ids are handed out in preorder, one per label computed: one per
+    (model, node object) for inner nodes, which are labeled once per model
+    however often they occur, and one per visit for leaves, which read the
+    model's cached masks.  Each announcement body is labeled on the updated
+    model.  Bit i of ``masks[nid]`` stands for ``states[nid][i]``, the i-th
+    state of the model that label was computed on.  ``table`` shows the same
+    labels as ``{nid: {state: bool}}``, building each row when it is
+    read."""
 
     model: Model
     root: int = 0
@@ -262,44 +270,72 @@ def _pull_back(kind: SemanticsKind, pre: int, sub: int, n: int) -> int:
 
 
 def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
-    _require(m, f, kind)
+    """Label f's subformulas bottom-up, each shared one once per model.
+
+    Formulas such as ``iff`` and the axiom instances reuse one node object
+    in several places, and an announcement node may recur over one model.
+    Two memos, both keyed by object identity and both dropped on return,
+    make that work happen once per call: each model's dict maps a node's id
+    to its mask, and ``updates`` maps (model id, announced node id) to the
+    updated model and its own dict.  Leaves read the model's cached masks
+    and skip the memo.  No id is reused while the call runs, since every
+    keyed object stays alive: each node is reachable from f, and each keyed
+    model is m or an updated model that ``updates`` itself holds."""
+    _require_mode(m, kind)
     counter = itertools.count()
     out = Labeling(m)
+    masks, states = out.masks, out.states
+    updates: dict[tuple[int, int], tuple[Model, dict[int, int]]] = {}
 
-    def label(model: Model, g: Formula) -> int:
-        nid = next(counter)
-        if isinstance(g, Not):
-            res = label(model, g.sub) ^ ((1 << len(model.states)) - 1)
-        elif isinstance(g, And):
-            res = label(model, g.left) & label(model, g.right)
-        elif isinstance(g, Atom):
+    def label(model: Model, g: Formula, memo: dict[int, int]) -> int:
+        cls = g.__class__
+        if cls is Atom:
             res = ((1 << len(model.states)) - 1 if g.name == TRUE_ATOM
                    else model.atom_mask(g.name))
-        elif isinstance(g, DepthExact):
+        elif cls is DepthAtLeast:
+            res = model.depth_mask(g.agent, g.d)
+        elif cls is DepthExact:
             res = (model.depth_mask(g.agent, g.d)
                    ^ model.depth_mask(g.agent, g.d + 1))
-        elif isinstance(g, DepthAtLeast):
-            res = model.depth_mask(g.agent, g.d)
-        elif isinstance(g, KnowInf):
-            res = _known(model, g.agent, label(model, g.sub))
-        elif isinstance(g, Know):
-            res = (_known(model, g.agent, label(model, g.sub))
-                   & model.depth_mask(g.agent, modal_depth(g.sub)))
-        elif isinstance(g, Announce):
-            n = len(model.states)
-            full = (1 << n) - 1
-            pre = label(model, g.announced)
-            truth = dict(zip(model.states, flags_of(pre, n)))
-            upd = update(model, g.announced, kind, truth=truth)
-            sub = label(upd, g.sub)
-            res = (pre ^ full) | _pull_back(kind, pre, sub, n)
         else:
-            raise TypeError(f"not a formula: {g!r}")
-        out.masks[nid] = res
-        out.states[nid] = model.states
+            res = memo.get(id(g))
+            if res is not None:
+                return res
+            nid = next(counter)
+            if cls is Not:
+                res = (label(model, g.sub, memo)
+                       ^ ((1 << len(model.states)) - 1))
+            elif cls is And:
+                res = label(model, g.left, memo) & label(model, g.right, memo)
+            elif cls is KnowInf:
+                res = _known(model, g.agent, label(model, g.sub, memo))
+            elif cls is Know:
+                res = (_known(model, g.agent, label(model, g.sub, memo))
+                       & model.depth_mask(g.agent, modal_depth(g.sub)))
+            elif cls is Announce:
+                if kind is SemanticsKind.DBEL:
+                    raise FragmentError(_NO_DBEL_ANNOUNCE)
+                n = len(model.states)
+                pre = label(model, g.announced, memo)
+                key = (id(model), id(g.announced))
+                done = updates.get(key)
+                if done is None:
+                    truth = dict(zip(model.states, flags_of(pre, n)))
+                    done = updates[key] = (
+                        update(model, g.announced, kind, truth=truth), {})
+                sub = label(done[0], g.sub, done[1])
+                res = (pre ^ ((1 << n) - 1)) | _pull_back(kind, pre, sub, n)
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            memo[id(g)] = masks[nid] = res
+            states[nid] = model.states
+            return res
+        nid = next(counter)
+        masks[nid] = res
+        states[nid] = model.states
         return res
 
-    label(m, f)
+    label(m, f, {})
     del label   # frees the tables now, not at the next cyclic collection
     return out
 

@@ -258,6 +258,17 @@ class TestAxioms:
         assert "stated for DBEL" in err
         assert "SemanticsKind" not in err
 
+    @pytest.mark.parametrize("bound", [["--cases", "0"],
+                                       ["--models", "0"],
+                                       ["--max-states", "0"],
+                                       ["--cases", "-3"]])
+    def test_empty_suite_bound_exits_2(self, bound, capsys):
+        rc = main(["axioms", "--table", "T1", *bound])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "violations" not in captured.out
+        assert bound[0] in captured.err
+
     def test_unambiguous_flag_accepted(self):
         rc = main(["axioms", "--table", "T1", "--semantics", "DBEL",
                    "--cases", "10", "--models", "4", "--unambiguous"])
@@ -282,6 +293,16 @@ class TestBench:
         assert rc == 0
         rows = list(csv.DictReader(out.open()))
         assert [row["family"] for row in rows] == ["3sat"] * 3
+
+    @pytest.mark.parametrize("bound", [["--cases", "0"],
+                                       ["--cases", "-3"],
+                                       ["--max-vars", "0"]])
+    def test_empty_family_bound_exits_2(self, bound, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        rc = main(["bench", *bound, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert bound[0] in capsys.readouterr().err
 
 
 class TestExportDot:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from depthlogic import semantics
 from depthlogic.model import (REFLEXIVE, Model, load_model, model_size,
                               save_model, validate)
 from depthlogic.muddy import (
@@ -16,7 +17,9 @@ from depthlogic.muddy import (
     phi_k,
     upper_bound_hypothesis,
 )
-from depthlogic.props import RandomSpec, leakage_fixture, random_formula, random_model
+from depthlogic.props import (TABLE_DPAL_SOUND, TABLE_EDPAL, TABLE_ROWS,
+                              TABLE_T1, _TABLE_KIND, RandomSpec,
+                              leakage_fixture, random_formula, random_model)
 from depthlogic.semantics import (
     FragmentError,
     ModeError,
@@ -32,13 +35,16 @@ from depthlogic.semantics import (
 )
 from depthlogic.syntax import (
     TOP,
+    And,
     Announce,
     Atom,
     DepthAtLeast,
+    Formula,
     Know,
     KnowInf,
     Not,
     f_transform,
+    iff,
     implies,
     modal_depth,
     parse,
@@ -81,6 +87,14 @@ class TestCheck:
     def test_dbel_rejects_announcements(self, one_state_model):
         with pytest.raises(FragmentError):
             check(one_state_model, "s", Announce(TOP, TOP), SemanticsKind.DBEL)
+
+    @pytest.mark.parametrize("text", ["K[0] (p & [q] r)",
+                                      "K[0] ([q] r & p)"])
+    def test_dbel_rejects_nested_announcements(self, one_state_model, text):
+        f = parse(text)
+        for checker in (check, check_naive):
+            with pytest.raises(FragmentError, match="cannot contain"):
+                checker(one_state_model, "s", f, SemanticsKind.DBEL)
 
     def test_dpal_rejects_reflexive_models(self, three_world_model):
         with pytest.raises(ModeError):
@@ -264,6 +278,95 @@ class TestLabeling:
             for s in m.states:
                 assert check(m, s, f, SemanticsKind.DPAL) == \
                     check_naive(m, s, f, SemanticsKind.DPAL)
+
+
+def _node_counts(f):
+    """(tree nodes, distinct node objects) of a formula."""
+    seen, tree, stack = set(), 0, [f]
+    while stack:
+        g = stack.pop()
+        tree += 1
+        seen.add(id(g))
+        stack.extend(v for v in vars(g).values() if isinstance(v, Formula))
+    return tree, len(seen)
+
+
+def _counting_update(monkeypatch):
+    calls = []
+    real = semantics.update
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semantics, "update", counted)
+    return calls
+
+
+class TestLabelingMemo:
+    """``check_labeling`` labels each (model, node object) once and runs
+    each (model, announced node object) update once, within one call."""
+
+    @pytest.mark.parametrize("table", [TABLE_T1, TABLE_EDPAL,
+                                       TABLE_DPAL_SOUND])
+    def test_axiom_instances_agree_with_naive(self, table):
+        kind = _TABLE_KIND[table]
+        rng = random.Random(f"memo:{table}")
+        spec = RandomSpec()
+        rows = TABLE_ROWS[table]
+        shared = 0
+        for i in range(200):
+            inst = rows[i % len(rows)].instantiate(rng, spec)
+            tree, distinct = _node_counts(inst)
+            shared += distinct < tree
+            _agrees_with_naive(random_model(rng, spec), inst, kind)
+        # most instances reuse subformula objects, which the memo shares
+        assert shared >= 100
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_nodes_reused_across_models_agree_with_naive(self, kind):
+        # each step combines earlier node objects, so one object is labeled
+        # on several models and announced on several models, as in [phi]phi
+        # and [phi][phi]psi
+        rng = random.Random(f"reuse:{kind.value}")
+        spec = RandomSpec(max_states=4)
+        for _ in range(150):
+            pool = [random_formula(rng, spec, size=3, announce=True)
+                    for _ in range(3)]
+            for _ in range(5):
+                a, b = rng.choice(pool), rng.choice(pool)
+                pool.append(rng.choice((Announce(a, b), And(a, b), Not(a),
+                                        Know(rng.randrange(2), a))))
+            m = random_model(rng, spec)
+            _agrees_with_naive(m, pool[-1], kind)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_shared_announcement_updates_once(self, kind, monkeypatch):
+        calls = _counting_update(monkeypatch)
+        m = build_muddy(3, 3, canonical_depths(3)).model
+        phi = parse("!K[2] m2")
+        shared = And(Announce(phi, Atom("m0")), Announce(phi, Atom("m1")))
+        lab = check_labeling(m, shared, kind)
+        assert calls == [phi]
+        calls.clear()
+        distinct = And(Announce(phi, Atom("m0")),
+                       Announce(parse("!K[2] m2"), Atom("m1")))
+        assert distinct == shared
+        again = check_labeling(m, distinct, kind)
+        assert len(calls) == 2
+        assert again.table[again.root] == lab.table[lab.root]
+
+    def test_nothing_cached_across_calls(self, monkeypatch):
+        calls = _counting_update(monkeypatch)
+        m = build_muddy(4, 4, canonical_depths(4)).model
+        f = iff(phi_k(4), Announce(parse("m0 | m1"), phi_k(4)))
+        first = check_labeling(m, f, SemanticsKind.DPAL)
+        done = len(calls)
+        assert done > 0
+        second = check_labeling(m, f, SemanticsKind.DPAL)
+        assert len(calls) == 2 * done
+        assert second.masks == first.masks
+        assert second.states == first.states
 
 
 def _agrees_with_naive(m, f, kind):
