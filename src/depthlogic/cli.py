@@ -20,8 +20,8 @@ from . import dot as dotmod
 from . import muddy as muddymod
 from . import props
 # validate is unused here, but the traced benchmark wraps cli.validate by name
-from .model import (Model, ModelError, load_model, model_size, save_model,
-                    validate)
+from .model import (Model, ModelError, canonical_json, load_model, model_size,
+                    save_model, validate)
 from .sat import sat_bruteforce
 from .semantics import (FragmentError, ModeError, SemanticsKind, check,
                         update)
@@ -91,7 +91,6 @@ def cmd_update(args: argparse.Namespace) -> int:
     if args.out:
         save_model(upd, args.out)
     else:
-        from .model import canonical_json
         sys.stdout.write(canonical_json(upd))
     return 0
 
@@ -104,7 +103,6 @@ def cmd_sat(args: argparse.Namespace) -> int:
     if found is None:
         print("none-within-bounds")
         return 0
-    from .model import canonical_json
     print(f"state: {found.state}")
     sys.stdout.write(canonical_json(found.model))
     return 0
@@ -238,9 +236,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             t0 = time.perf_counter()
             check(m, "s", f, SemanticsKind.DPAL)
             dt = time.perf_counter() - t0
-            final = None
-            for final in muddymod.reduction_steps(inst):
-                pass
+            *_, final = muddymod.reduction_steps(inst)
             w.writerow(["3sat", n, size(f), model_size(m),
                         f"{dt:.6f}", model_size(final)])
     if out is not sys.stdout:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from .model import EQUIVALENCE, Model
-from .semantics import SemanticsKind, check_naive, dpal_copy, update
+from .model import EQUIVALENCE, Model, mask_of
+from .semantics import (SemanticsKind, check_naive, dpal_copy, update,
+                        update_image)
 from .syntax import Formula, to_text
 
+# the name prefixes of a state's two DPAL copies
+_COPIES = (dpal_copy("", False), dpal_copy("", True))
 # Fixed palette, cycled per agent.
 _COLORS = ("black", "blue3", "red3", "darkgreen", "darkorange2",
            "purple3", "deeppink3", "gray40")
@@ -15,25 +18,27 @@ def agent_color(a: int) -> str:
     return _COLORS[a % len(_COLORS)]
 
 
-def _copy_prefix(state: str) -> str:
-    head = state[:2]
-    return head if head in (dpal_copy("", False), dpal_copy("", True)) else ""
+def _escaped(text: str) -> str:
+    """Text as the inside of a DOT quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _node_lines(m: Model, prefix: str, designated: str | None) -> list[str]:
     lines = []
     for s in m.states:
-        atoms = ",".join(sorted(m.atoms(s)))
+        name = _escaped(s)
+        atoms = _escaped(",".join(sorted(m.atoms(s))))
         depths = " ".join(str(m.depth(a, s)) for a in range(m.agents))
-        label = f"{s}\\n{{{atoms}}}\\nd: {depths}"
+        label = f"{name}\\n{{{atoms}}}\\nd: {depths}"
         style = ' style=filled fillcolor=lightyellow' if s == designated else ""
-        lines.append(f'    "{prefix}{s}" [label="{label}"{style}];')
+        lines.append(f'    "{prefix}{name}" [label="{label}"{style}];')
     return lines
 
 
 def _edge_lines(m: Model, prefix: str) -> list[str]:
     # an equivalence relation is symmetric: draw each pair once, undirected
     undirected = m.mode == EQUIVALENCE
+    node = {s: f'"{prefix}{_escaped(s)}"' for s in m.states}
     lines = []
     for a in range(m.agents):
         for i, s in enumerate(m.states):
@@ -41,9 +46,9 @@ def _edge_lines(m: Model, prefix: str) -> list[str]:
                 if t == s or undirected and m.state_index(t) < i:
                     continue
                 style = " dir=none" if undirected else ""
-                if undirected and _copy_prefix(s) not in ("", _copy_prefix(t)):
+                if undirected and s[:2] in _COPIES and s[:2] != t[:2]:
                     style += " style=dashed"   # a DPAL cross-copy link
-                lines.append(f'    "{prefix}{s}" -> "{prefix}{t}" '
+                lines.append(f'    {node[s]} -> {node[t]} '
                              f'[color={agent_color(a)} label="{a}"{style}];')
     return lines
 
@@ -64,16 +69,13 @@ def announcement_steps(m: Model, announcements: list[Formula],
                        ) -> list[tuple[Model, str | None]]:
     """Models (and tracked designated state) after each successive update."""
     steps: list[tuple[Model, str | None]] = [(m, state)]
-    cur, here = m, state
+    cur, here = m, None if state is None else m.state_index(state)
     for phi in announcements:
-        truth = {s: check_naive(cur, s, phi, kind) for s in cur.states}
-        cur = update(cur, phi, kind, truth=truth)
+        pre = mask_of(check_naive(cur, s, phi, kind) for s in cur.states)
         if here is not None:
-            if kind is SemanticsKind.DPAL:
-                here = dpal_copy(here, truth[here])
-            elif kind is SemanticsKind.EDPAL:
-                here = here if truth[here] else None
-        steps.append((cur, here))
+            here = update_image(kind, pre, len(cur.states))[here]
+        cur = update(cur, phi, kind, pre)
+        steps.append((cur, None if here is None else cur.states[here]))
     return steps
 
 

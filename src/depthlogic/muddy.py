@@ -7,13 +7,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+from .dot import announcement_steps
 from .model import EQUIVALENCE, Model
 # check_naive is unused here, but the traced benchmark wraps
 # muddy.check_naive by name
 from .semantics import (SemanticsKind, _known, check, check_labeling,
-                        check_naive, dpal_copy)
+                        check_naive, update)
 from .syntax import (And, Announce, Atom, DepthAtLeast, Formula, Know,
-                     KnowInf, Not, TOP, conj, disj, dual, implies)
+                     KnowInf, Not, TOP, conj, disj, dual, implies, walk)
 
 DepthFn = Callable[[int, str], int]
 
@@ -252,12 +253,10 @@ def reduction_decide(inst: ThreeSatInstance) -> bool:
     n = inst.n
     table = _FINAL_CACHE.get(n)
     if table is None:
-        for final in reduction_steps(ThreeSatInstance(n, ((1, 1, 1),))):
-            pass
-        state = "s"
-        for _ in range(n):
-            state = dpal_copy(state, True)
-        table = _FINAL_CACHE[n] = (final, final.state_index(state), {})
+        m, f = reduce_3sat(ThreeSatInstance(n, ((1, 1, 1),)))
+        chain = [g.announced for g in walk(f) if isinstance(g, Announce)]
+        final, s = announcement_steps(m, chain, SemanticsKind.DPAL, "s")[-1]
+        table = _FINAL_CACHE[n] = (final, final.state_index(s), {})
     final, index, masks = table
     phi = full = (1 << len(final.states)) - 1
     for cl in inst.clauses:
@@ -274,7 +273,6 @@ def reduction_decide(inst: ThreeSatInstance) -> bool:
 
 def reduction_steps(inst: ThreeSatInstance) -> Iterator[Model]:
     """Successive DPAL models along the reduction's announcement chain."""
-    from .semantics import update  # local import avoids a cycle at startup
     m, f = reduce_3sat(inst)
     yield m
     while isinstance(f, Announce):

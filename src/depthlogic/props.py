@@ -9,7 +9,9 @@ naive recursive evaluator and greedily minimized before being reported.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 from typing import Callable
 
 from .model import EQUIVALENCE, REFLEXIVE, Model
@@ -439,6 +441,22 @@ def _record(report: SuiteReport, name: str, f: Formula, m: Model,
 
 # -- suites --
 
+def _run(report: SuiteReport,
+         draws: Iterator[tuple[str, Formula, Sequence[Model]]],
+         max_violations: int) -> SuiteReport:
+    """Check each drawn (schema name, instance, models) case on its models
+    up to the first failure, stopping after ``max_violations`` of them."""
+    for name, inst, models in draws:
+        report.cases += 1
+        for m in models:
+            report.checks += 1
+            if _record(report, name, inst, m, report.kind):
+                if len(report.violations) >= max_violations:
+                    return report
+                break
+    return report
+
+
 def soundness_suite(table: str, kind: SemanticsKind, spec: RandomSpec,
                     cases: int = 300, models: int = 50,
                     max_violations: int = 5,
@@ -448,19 +466,9 @@ def soundness_suite(table: str, kind: SemanticsKind, spec: RandomSpec,
             f"table {table} is stated for {_TABLE_KIND[table].value}")
     rng = random.Random(spec.seed)
     pool = [random_model(rng, spec, unambiguous) for _ in range(models)]
-    rows = TABLE_ROWS[table]
-    report = SuiteReport(name=table, kind=kind)
-    for i in range(cases):
-        schema = rows[i % len(rows)]
-        inst = schema.instantiate(rng, spec)
-        report.cases += 1
-        for m in pool:
-            report.checks += 1
-            if _record(report, schema.name, inst, m, kind):
-                if len(report.violations) >= max_violations:
-                    return report
-                break
-    return report
+    draws = ((row.name, row.instantiate(rng, spec), pool)
+             for row in islice(cycle(TABLE_ROWS[table]), cases))
+    return _run(SuiteReport(name=table, kind=kind), draws, max_violations)
 
 
 def kp_ta_suite(kind: SemanticsKind, variant: str, spec: RandomSpec,
@@ -472,27 +480,21 @@ def kp_ta_suite(kind: SemanticsKind, variant: str, spec: RandomSpec,
     the announcement-free single-agent fragment.
     """
     rng = random.Random(spec.seed)
-    unamb = variant in ("KP", "TA")
-    report = SuiteReport(name=f"{variant}/{direction}", kind=kind)
-    for _ in range(cases):
-        m = random_model(rng, spec, unambiguous=unamb)
-        a = rng.randrange(spec.agents)
-        phi = random_formula(rng, spec, announce=True, kinf=True)
-        if variant == "KP":
-            psi = random_formula(rng, spec, kinf=True, agent=a)
-        elif variant == "KPp":
-            # see kp_ta_instance: raw depth atoms in psi break preservation
-            psi = random_formula(rng, spec, announce=True, kinf=True,
-                                 depth_atoms=False)
-        else:
-            psi = random_formula(rng, spec, announce=True, kinf=True)
-        inst = kp_ta_instance(variant, a, phi, psi, direction)
-        report.cases += 1
-        report.checks += 1
-        if (_record(report, report.name, inst, m, kind)
-                and len(report.violations) >= max_violations):
-            return report
-    return report
+    name = f"{variant}/{direction}"
+
+    def draws():
+        for _ in range(cases):
+            m = random_model(rng, spec, unambiguous=variant in ("KP", "TA"))
+            a = rng.randrange(spec.agents)
+            phi = random_formula(rng, spec, announce=True, kinf=True)
+            # KP's psi is single-agent and announcement-free; KPp's has no
+            # depth atoms, which break preservation (see kp_ta_instance)
+            psi = random_formula(rng, spec, announce=variant != "KP",
+                                 kinf=True, depth_atoms=variant != "KPp",
+                                 agent=a if variant == "KP" else None)
+            yield name, kp_ta_instance(variant, a, phi, psi, direction), (m,)
+
+    return _run(SuiteReport(name=name, kind=kind), draws(), max_violations)
 
 
 def amnesia_instance(agent: int, phi: Formula, psi: Formula) -> Formula:
@@ -507,19 +509,16 @@ def amnesia_suite(spec: RandomSpec, cases: int = 100,
     run under DPAL, the suite finds counterexamples (shallow agents keep
     their knowledge there)."""
     rng = random.Random(spec.seed)
-    report = SuiteReport(name="amnesia", kind=kind)
-    for _ in range(cases):
-        m = random_model(rng, spec)
-        a = rng.randrange(spec.agents)
-        phi = random_formula(rng, spec, announce=True, kinf=True)
-        psi = random_formula(rng, spec, announce=True, kinf=True)
-        inst = amnesia_instance(a, phi, psi)
-        report.cases += 1
-        report.checks += 1
-        if (_record(report, report.name, inst, m, kind)
-                and len(report.violations) >= max_violations):
-            return report
-    return report
+
+    def draws():
+        for _ in range(cases):
+            m = random_model(rng, spec)
+            a = rng.randrange(spec.agents)
+            phi = random_formula(rng, spec, announce=True, kinf=True)
+            psi = random_formula(rng, spec, announce=True, kinf=True)
+            yield "amnesia", amnesia_instance(a, phi, psi), (m,)
+
+    return _run(SuiteReport("amnesia", kind), draws(), max_violations)
 
 
 # -- explicit witnesses --

@@ -10,6 +10,9 @@ states of its model (bit i for ``states[i]``), so ``!`` and ``&`` are single
 integer operations.  ``K``/``Kinf`` drop the classes that reach outside the
 label (equivalence mode) or test each state's successor mask (reflexive
 mode), and ``K`` is gated by the model's cached depth masks.
+Updates take the announcement's truth as such a mask (``pre``); both
+checkers, the DOT export and the 3-SAT reduction follow states through
+``update_image``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ class ModeError(ValueError):
 
 
 _NO_DBEL_ANNOUNCE = "DBEL formulas cannot contain announcements"
+_NO_DBEL_UPDATE = "DBEL has no announcement update"
 
 
 def _require_mode(m: Model, kind: SemanticsKind) -> None:
@@ -55,10 +59,6 @@ def _require(m: Model, f: Formula, kind: SemanticsKind) -> None:
             isinstance(g, Announce) for g in walk(f)):
         raise FragmentError(_NO_DBEL_ANNOUNCE)
     _require_mode(m, kind)
-
-
-def _mapped_state(kind: SemanticsKind, state: str) -> str:
-    return dpal_copy(state, True) if kind is SemanticsKind.DPAL else state
 
 
 # -- naive recursive checker (oracle) --
@@ -88,29 +88,52 @@ def _nv(m: Model, s: str, f: Formula, kind: SemanticsKind) -> bool:
     if isinstance(f, Announce):
         if not _nv(m, s, f.announced, kind):
             return True
-        truth = {t: _nv(m, t, f.announced, kind) for t in m.states}
-        upd = update(m, f.announced, kind, truth=truth)
-        return _nv(upd, _mapped_state(kind, s), f.sub, kind)
+        pre = mask_of(_nv(m, t, f.announced, kind) for t in m.states)
+        upd = update(m, f.announced, kind, pre)
+        image = update_image(kind, pre, len(m.states))
+        return _nv(upd, upd.states[image[m.state_index(s)]], f.sub, kind)
     raise TypeError(f"not a formula: {f!r}")
 
 
 # -- model updates --
 
 def update(m: Model, announced: Formula, kind: SemanticsKind,
-           truth: dict[str, bool] | None = None) -> Model:
+           pre: int | None = None) -> Model:
+    """The model after announcing ``announced``.  ``pre`` is where it holds,
+    as a mask over ``m.states`` (bit i for ``states[i]``); None computes it
+    with ``check_naive``."""
     if kind is SemanticsKind.DPAL:
-        return update_dpal(m, announced, truth=truth)
+        return update_dpal(m, announced, pre)
     if kind is SemanticsKind.EDPAL:
-        return update_edpal(m, announced, truth=truth)
+        return update_edpal(m, announced, pre)
     if kind is SemanticsKind.ADPAL:
-        return update_adpal(m, announced, truth=truth)
-    raise FragmentError("DBEL has no announcement update")
+        return update_adpal(m, announced, pre)
+    raise FragmentError(_NO_DBEL_UPDATE)
 
 
-def _truth_map(m: Model, announced: Formula, kind: SemanticsKind,
-               truth: dict[str, bool] | None) -> dict[str, bool]:
-    return truth if truth is not None else {
-        s: check_naive(m, s, announced, kind) for s in m.states}
+def update_image(kind: SemanticsKind, pre: int, n: int) -> list[int | None]:
+    """Where an update sends each of n states: ``image[i]`` is the index of
+    ``states[i]``'s image in the updated model, or None if the update drops
+    it.  DPAL sends the announcement states (the bits of ``pre``) to their
+    ``1.`` copies, which follow the n ``0.`` copies in state order, and the
+    others to their ``0.`` copies; EDPAL keeps just the announcement states,
+    in order; ADPAL keeps every state in place."""
+    if kind is SemanticsKind.ADPAL:
+        return list(range(n))
+    if kind is SemanticsKind.DBEL:
+        raise FragmentError(_NO_DBEL_UPDATE)
+    dpal = kind is SemanticsKind.DPAL
+    kept = itertools.count(n if dpal else 0)
+    return [next(kept) if f else (i if dpal else None)
+            for i, f in enumerate(flags_of(pre, n))]
+
+
+def _flags(m: Model, announced: Formula, kind: SemanticsKind,
+           pre: int | None) -> list[bool]:
+    """Per state of m, whether the announcement holds there."""
+    if pre is None:
+        return [check_naive(m, s, announced, kind) for s in m.states]
+    return list(flags_of(pre, len(m.states)))
 
 
 _COPY_PREFIX = ("0.", "1.")
@@ -122,18 +145,17 @@ def dpal_copy(state: str, positive: bool) -> str:
     return _COPY_PREFIX[positive] + state
 
 
-def update_dpal(m: Model, announced: Formula,
-                truth: dict[str, bool] | None = None) -> Model:
+def update_dpal(m: Model, announced: Formula, pre: int | None = None
+                ) -> Model:
     """World-duplicating update: a full negative copy plus a positive copy of
     the states satisfying the announcement.  Per agent, the copies of a class
     stay classes, and the two merge iff the agent is too shallow to perceive
     the announcement at one of the class's announcement states."""
     if m.mode != EQUIVALENCE:
         raise ModeError("DPAL update requires an equivalence-mode model")
-    truth = _truth_map(m, announced, SemanticsKind.DPAL, truth)
+    flags = _flags(m, announced, SemanticsKind.DPAL, pre)
     dphi = modal_depth(announced)
     n = len(m.states)   # class ids are state indices, below this
-    flags = list(map(truth.__getitem__, m.states))
     neg, pos = _COPY_PREFIX
     states = (list(map(neg.__add__, m.states))
               + list(map(pos.__add__, compress(m.states, flags))))
@@ -157,38 +179,37 @@ def update_dpal(m: Model, announced: Formula,
                  mode=EQUIVALENCE, class_ids=class_ids)
 
 
-def update_edpal(m: Model, announced: Formula,
-                 truth: dict[str, bool] | None = None) -> Model:
+def update_edpal(m: Model, announced: Formula, pre: int | None = None
+                 ) -> Model:
     """Eager update: restrict to announcement states, decrement every depth
     unconditionally (possibly below zero)."""
     if m.mode != EQUIVALENCE:
         raise ModeError("EDPAL update requires an equivalence-mode model")
-    truth = _truth_map(m, announced, SemanticsKind.EDPAL, truth)
+    flags = _flags(m, announced, SemanticsKind.EDPAL, pre)
     dphi = modal_depth(announced)
-    flags = list(map(truth.__getitem__, m.states))
     depth = {a: tuple(map(operator.sub, compress(m.depths(a), flags),
                           repeat(dphi)))
              for a in range(m.agents)}
     return m.restrict(list(compress(range(len(flags)), flags)), depth)
 
 
-def update_adpal(m: Model, announced: Formula,
-                 truth: dict[str, bool] | None = None) -> Model:
+def update_adpal(m: Model, announced: Formula, pre: int | None = None
+                 ) -> Model:
     """Asymmetric update: same states; an edge from s to a successor t is cut
     iff the agent is deep enough at s and exactly one endpoint satisfies the
     announcement; depths decrement only where the agent is deep enough."""
-    truth = _truth_map(m, announced, SemanticsKind.ADPAL, truth)
+    flags = _flags(m, announced, SemanticsKind.ADPAL, pre)
     dphi = modal_depth(announced)
-    yes = frozenset(s for s in m.states if truth[s])
+    yes = frozenset(compress(m.states, flags))
     succ: dict[int, dict[str, frozenset[str]]] = {}
     depth: dict[int, list[int]] = {}
     for a in range(m.agents):
         succ[a], depth[a] = {}, []
-        for s, d in zip(m.states, m.depths(a)):
+        for s, d, heard in zip(m.states, m.depths(a), flags):
             ts = m.successors(a, s)
             if d >= dphi:
                 d -= dphi
-                cut = ts & yes if truth[s] else ts - yes
+                cut = ts & yes if heard else ts - yes
                 ts = cut if len(cut) < len(ts) else ts   # else shared with m
             succ[a][s] = ts
             depth[a].append(d)
@@ -256,19 +277,6 @@ def _known(model: Model, agent: int, sub: int) -> int:
     return mask_of(t & sub == t for t in model.successor_masks(agent))
 
 
-def _pull_back(kind: SemanticsKind, pre: int, sub: int, n: int) -> int:
-    """The announcement states (``pre``, over n states) whose image in the
-    updated model lies in ``sub``.  DPAL puts the ``1.`` copies of the
-    announcement states after the n ``0.`` copies and EDPAL keeps just them,
-    both in state order; ADPAL keeps every state in place."""
-    if kind is SemanticsKind.ADPAL:
-        return pre & sub
-    if kind is SemanticsKind.DPAL:
-        sub >>= n
-    kept = list(compress(range(n), flags_of(pre, n)))
-    return sum(map((1).__lshift__, compress(kept, flags_of(sub, len(kept)))))
-
-
 def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
     """Label f's subformulas bottom-up, each shared one once per model.
 
@@ -277,15 +285,17 @@ def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
     Two memos, both keyed by object identity and both dropped on return,
     make that work happen once per call: each model's dict maps a node's id
     to its mask, and ``updates`` maps (model id, announced node id) to the
-    updated model and its own dict.  Leaves read the model's cached masks
-    and skip the memo.  No id is reused while the call runs, since every
-    keyed object stays alive: each node is reachable from f, and each keyed
-    model is m or an updated model that ``updates`` itself holds."""
+    updated model, its own dict and the update's image, through which
+    ``[phi]psi`` reads psi's label in time linear in the models' sizes.
+    Leaves read the model's cached masks and skip the memo.  No id is reused
+    while the call runs, since every keyed object stays alive: each node is
+    reachable from f, and each keyed model is m or an updated model that
+    ``updates`` itself holds."""
     _require_mode(m, kind)
     counter = itertools.count()
     out = Labeling(m)
     masks, states = out.masks, out.states
-    updates: dict[tuple[int, int], tuple[Model, dict[int, int]]] = {}
+    updates: dict[tuple[int, int], tuple[Model, dict, list]] = {}
 
     def label(model: Model, g: Formula, memo: dict[int, int]) -> int:
         cls = g.__class__
@@ -320,11 +330,15 @@ def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
                 key = (id(model), id(g.announced))
                 done = updates.get(key)
                 if done is None:
-                    truth = dict(zip(model.states, flags_of(pre, n)))
                     done = updates[key] = (
-                        update(model, g.announced, kind, truth=truth), {})
-                sub = label(done[0], g.sub, done[1])
-                res = (pre ^ ((1 << n) - 1)) | _pull_back(kind, pre, sub, n)
+                        update(model, g.announced, kind, pre), {},
+                        update_image(kind, pre, n))
+                upd, upd_memo, image = done
+                # psi at each state's image; a dropped state (None) reads False
+                sub = dict(enumerate(flags_of(label(upd, g.sub, upd_memo),
+                                              len(upd.states))))
+                res = ((pre ^ ((1 << n) - 1))
+                       | mask_of(map(sub.get, image, repeat(False))))
             else:
                 raise TypeError(f"not a formula: {g!r}")
             memo[id(g)] = masks[nid] = res

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Iterator
 
 TRUE_ATOM = "true"
@@ -115,21 +116,11 @@ def dual(announced: Formula, sub: Formula) -> Formula:
 
 
 def conj(*parts: Formula) -> Formula:
-    if not parts:
-        return TOP
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return reduce(And, parts) if parts else TOP
 
 
 def disj(*parts: Formula) -> Formula:
-    if not parts:
-        return BOTTOM
-    out = parts[0]
-    for p in parts[1:]:
-        out = or_(out, p)
-    return out
+    return reduce(or_, parts) if parts else BOTTOM
 
 
 # --- structural helpers ---

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from depthlogic.cli import main
-from depthlogic.model import load_model, save_model, to_dict
+from depthlogic.model import Model, load_model, save_model, to_dict
 
 
 @pytest.fixture
@@ -322,6 +323,32 @@ class TestExportDot:
         assert rc == 0
         text = out.read_text()
         assert text.count("subgraph cluster_") == 2
+
+    @pytest.mark.parametrize("announce", [[], ["--announce", "p"]])
+    def test_quotes_and_backslashes_in_names_are_escaped(self, tmp_path,
+                                                         capsys, announce):
+        quote, backslash = 'a"b', "c\\d"
+        m = Model(agents=1, states=[quote, backslash],
+                  val={quote: ['x"y'], backslash: ["p\\q"]},
+                  rel={0: [(quote, backslash), (backslash, quote)]},
+                  depth={0: {quote: 1, backslash: 1}})
+        path = tmp_path / "odd.json"
+        save_model(m, str(path))
+        rc = main(["export-dot", "--model", str(path), "--state", quote]
+                  + announce)
+        assert rc == 0
+        out = capsys.readouterr().out
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        for line in out.splitlines():
+            # outside DOT quoted strings, no quote or backslash is left over
+            assert not re.search(r'["\\]', quoted.sub("", line)), line
+        names = {re.sub(r"\\(.)", r"\1", s)
+                 for s in quoted.findall(out)}
+        prefix = "s0:" if announce else ""
+        assert {prefix + quote, prefix + backslash} <= names
+        assert r'label="a\"b\n{x\"y}\nd: 1"' in out
+        assert r'label="c\\d\n{p\\q}\nd: 1"' in out
+        assert out.count("fillcolor") == (2 if announce else 1)
 
     @pytest.mark.parametrize("announce", [[], ["--announce", "p0"]])
     def test_unknown_state_exits_3(self, three_world_file, capsys, announce):

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from depthlogic import semantics
-from depthlogic.model import (REFLEXIVE, Model, load_model, model_size,
-                              save_model, validate)
+from depthlogic import dot, semantics
+from depthlogic.model import (REFLEXIVE, Model, canonical_json, load_model,
+                              mask_of, model_size, save_model, validate)
 from depthlogic.muddy import (
     amnesia_formula,
     build_muddy,
@@ -27,11 +27,13 @@ from depthlogic.semantics import (
     check,
     check_labeling,
     check_naive,
+    dpal_copy,
     holds_everywhere,
     update,
     update_adpal,
     update_dpal,
     update_edpal,
+    update_image,
 )
 from depthlogic.syntax import (
     TOP,
@@ -247,6 +249,57 @@ class TestUpdateAdpal:
             phi = random_formula(rng, spec, announce=True, kinf=True)
             assert validate(update(m, phi, SemanticsKind.ADPAL),
                             "reflexive") is None
+
+
+class TestUpdateImage:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_image_agrees_with_state_names(self, kind):
+        rng = random.Random(f"image:{kind.value}")
+        spec = RandomSpec()
+        for _ in range(200):
+            m = random_model(rng, spec, unambiguous=rng.random() < 0.5)
+            phi = random_formula(rng, spec, announce=True, kinf=True)
+            pre = mask_of(check_naive(m, s, phi, kind) for s in m.states)
+            upd = update(m, phi, kind, pre)
+            # pre=None computes the same mask with check_naive
+            assert canonical_json(update(m, phi, kind)) == canonical_json(upd)
+            image = update_image(kind, pre, len(m.states))
+            assert len(image) == len(m.states)
+            for i, s in enumerate(m.states):
+                heard = bool(pre >> i & 1)
+                if kind is SemanticsKind.DPAL:
+                    expected = dpal_copy(s, heard)
+                elif kind is SemanticsKind.EDPAL:
+                    expected = s if heard else None
+                else:
+                    expected = s
+                j = image[i]
+                assert (None if j is None else upd.states[j]) == expected
+                if j is not None:
+                    assert upd.atoms(upd.states[j]) == m.atoms(s)
+
+    def test_dbel_has_no_image(self):
+        with pytest.raises(FragmentError):
+            update_image(SemanticsKind.DBEL, 1, 1)
+
+    @pytest.mark.parametrize("kind,tracked", [
+        (SemanticsKind.DPAL, ["s", "0.s", "1.0.s"]),
+        (SemanticsKind.EDPAL, ["s", None, None]),
+        (SemanticsKind.ADPAL, ["s", "s", "s"]),
+    ])
+    def test_steps_track_a_state_the_announcement_misses(self, kind,
+                                                         tracked):
+        # p is false at the designated state s, then true everywhere holds
+        m = Model(agents=1, states=["s", "t"], val={"s": [], "t": ["p"]},
+                  rel={0: [("s", "t"), ("t", "s")]},
+                  depth={0: {"s": 1, "t": 1}})
+        announcements = [Atom("p"), TOP]
+        steps = dot.announcement_steps(m, announcements, kind, state="s")
+        assert [here for _, here in steps] == tracked
+        for model, here in steps:
+            assert here is None or model.has_state(here)
+        text = dot.sequence_to_dot(m, announcements, kind, state="s")
+        assert text.count("fillcolor") == sum(h is not None for h in tracked)
 
 
 class TestLabeling:

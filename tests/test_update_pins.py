@@ -11,7 +11,7 @@ import pytest
 
 from depthlogic import dot
 from depthlogic.model import (EQUIVALENCE, REFLEXIVE, Model, canonical_json,
-                              model_size)
+                              mask_of, model_size)
 from depthlogic.muddy import build_muddy, canonical_depths, muddy_atom
 from depthlogic.props import RandomSpec, random_formula, random_model
 from depthlogic.semantics import (SemanticsKind, check_naive, update_adpal,
@@ -113,6 +113,11 @@ def truth_of(m: Model, phi, kind: SemanticsKind) -> dict[str, bool]:
     return {s: check_naive(m, s, phi, kind) for s in m.states}
 
 
+def pre_of(truth: dict[str, bool]) -> int:
+    """The update's mask form of a truth map built in state order."""
+    return mask_of(truth.values())
+
+
 def assert_same(new: Model, ref: Model) -> None:
     assert canonical_json(new) == canonical_json(ref)
     assert model_size(new) == model_size(ref)
@@ -128,7 +133,7 @@ def test_phi_k_chain_matches_pair_level_update(k, kind, new_update,
                                                ref_update):
     new = ref = build_muddy(k, k, canonical_depths(k)).model
     for phi in phi_k_announcements(k):
-        new = new_update(new, phi, truth=truth_of(new, phi, kind))
+        new = new_update(new, phi, pre_of(truth_of(new, phi, kind)))
         ref = ref_update(ref, phi, truth_of(ref, phi, kind))
         assert_same(new, ref)
 
@@ -141,7 +146,7 @@ def test_random_draws_match_pair_level_update(kind, new_update, ref_update):
         m = random_model(rng, spec, unambiguous=rng.random() < 0.5)
         phi = random_formula(rng, spec, announce=True, kinf=True)
         truth = truth_of(m, phi, kind)
-        assert_same(new_update(m, phi, truth=truth),
+        assert_same(new_update(m, phi, pre_of(truth)),
                     ref_update(m, phi, truth))
 
 
