@@ -4,10 +4,11 @@ An equivalence-mode relation (DBEL, DPAL, EDPAL) is a partition, stored as
 one class id per state index for each agent; a reflexive-mode relation
 (ADPAL) is stored as each state's successor set.  Other modules read
 relations only through ``successors``: the agent's class, or the state
-itself plus its direct successors.  Explicit pairs are read only by
-``to_dict``, ``validate`` and ``model_from_dict``; pairs given to an
-equivalence-mode model are kept as given, so ``validate`` reports the first
-violation of an unclosed relation.  Pairs never list reflexive loops.
+itself plus its direct successors.  Explicit pairs exist only in model
+files: ``model_from_dict`` turns them into class ids or successor sets
+(closing an open equivalence relation with a warning), and ``to_dict`` and
+``validate`` read ``Model.pairs``, derived from the successors.  Pairs never
+list reflexive loops.
 
 Depths are stored by state index too: one tuple per agent, in state order,
 so ``depth(a, s)`` is an index lookup and ``depths(a)`` hands out the tuple
@@ -23,7 +24,9 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections import Counter
+from collections.abc import (Callable, Hashable, Iterable, Iterator, Mapping,
+                             Sequence)
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 
@@ -41,12 +44,12 @@ Pair = tuple[str, str]
 class Model:
     """Immutable pointed-model substrate: states, valuation, relations, depths.
 
-    Relations come either as ``rel`` (non-loop pairs per agent), in
-    equivalence mode as ``class_ids`` (per agent, one hashable class id per
-    state, equal ids meaning the same class), or in reflexive mode as
-    ``successors`` (per agent, each state's successor set, itself included).
-    Depths come per agent as ``{state: depth}`` (missing states at 0) or as
-    a tuple or list in state order.
+    Relations come in equivalence mode as ``class_ids`` (per agent, one
+    hashable class id per state, equal ids meaning the same class) and in
+    reflexive mode as ``successors`` (per agent, each state's successor set,
+    itself included); an omitted relation is the identity.  Depths come per
+    agent as ``{state: depth}`` (missing states at 0) or as a sequence in
+    state order.
     """
 
     __slots__ = ("agents", "states", "mode", "_val", "_rel", "_ids",
@@ -56,14 +59,13 @@ class Model:
                  agents: int,
                  states: Iterable[str],
                  val: Mapping[str, Iterable[str]],
-                 rel: Mapping[int, Iterable[Pair]] | None = None,
                  depth: Mapping[int, Mapping[str, int] | tuple[int, ...]
                                 | list[int]]
                  | None = None,
                  mode: str = EQUIVALENCE,
                  *,
                  class_ids: Mapping[int, Sequence[Hashable]] | None = None,
-                 successors: Mapping[int, Mapping[str, frozenset[str]]]
+                 successors: Mapping[int, Mapping[str, Iterable[str]]]
                  | None = None):
         states = tuple(states)
         index = dict(zip(states, count()))
@@ -79,13 +81,12 @@ class Model:
             unknown = min(val.keys() - index.keys())
             raise ModelError(f"valuation for unknown state {unknown!r}")
         vmap = {s: frozenset(val.get(s, ())) for s in states}
-        rmap: dict[int, frozenset[Pair]] = {}
         ids: dict[int, tuple[int, ...]] = {}
         succ: dict[int, dict[str, frozenset[str]]] = {}
-        if class_ids is not None:
-            if rel is not None or mode != EQUIVALENCE:
-                raise ModelError(
-                    "class_ids replaces rel and needs equivalence mode")
+        if mode == EQUIVALENCE:
+            if successors is not None:
+                raise ModelError("successors needs reflexive mode")
+            class_ids = class_ids or {}
             for a, column in class_ids.items():
                 if not 0 <= a < agents:
                     raise ModelError(f"relation for unknown agent {a}")
@@ -95,11 +96,14 @@ class Model:
                 column = class_ids.get(a)
                 ids[a] = (tuple(range(len(states))) if column is None
                           else _first_index_ids(column))
-        elif successors is not None:
-            if (rel is not None or mode != REFLEXIVE
-                    or successors.keys() != set(range(agents))):
-                raise ModelError("successors replaces rel, needs reflexive "
-                                 "mode and one map per agent")
+        else:
+            if class_ids is not None:
+                raise ModelError("class_ids needs equivalence mode")
+            if successors is None:
+                successors = {a: {s: (s,) for s in states}
+                              for a in range(agents)}
+            if successors.keys() != set(range(agents)):
+                raise ModelError("successors needs one map per agent")
             for a, column in successors.items():
                 succ[a] = {s: frozenset(column.get(s, ())) for s in states}
                 if column.keys() != index.keys() or not all(
@@ -107,25 +111,6 @@ class Model:
                         for s, ts in succ[a].items()):
                     raise ModelError(f"agent {a} needs each state's "
                                      f"successors, itself included")
-        else:
-            rel = rel or {}
-            for a in range(agents):
-                pairs = set()
-                for s, t in rel.get(a, ()):
-                    if s not in index or t not in index:
-                        raise ModelError(
-                            f"relation pair ({s!r}, {t!r}) uses unknown state")
-                    if s != t:
-                        pairs.add((s, t))
-                rmap[a] = frozenset(pairs)
-                if mode == REFLEXIVE:
-                    sets = {s: [s] for s in states}
-                    for s, t in pairs:
-                        sets[s].append(t)
-                    succ[a] = {s: frozenset(ts) for s, ts in sets.items()}
-            for a in rel:
-                if not 0 <= a < agents:
-                    raise ModelError(f"relation for unknown agent {a}")
         depth = depth or {}
         for a in depth:
             if not 0 <= a < agents:
@@ -146,7 +131,7 @@ class Model:
         self.states = states
         self.mode = mode
         self._val = vmap
-        self._rel = rmap
+        self._rel: dict[int, frozenset[Pair]] = {}
         self._ids = ids
         self._depth = dmap
         self._index = index
@@ -167,7 +152,7 @@ class Model:
         return self._depth[agent]
 
     def pairs(self, agent: int) -> frozenset[Pair]:
-        """Non-loop pairs: as given, or built from the successors."""
+        """Non-loop pairs, built from the successors on first use."""
         pairs = self._rel.get(agent)
         if pairs is None:
             pairs = self._rel[agent] = frozenset(
@@ -185,8 +170,11 @@ class Model:
         """Per state index, the index of the first state of its class (see
         ``classes``)."""
         ids = self._ids.get(agent)
-        if ids is None:
-            ids = self._ids[agent] = _components(self._index, self.pairs(agent))
+        if ids is None:   # reflexive mode: components of the successor sets
+            index = self._index.__getitem__
+            ids = self._ids[agent] = _components(len(self.states), (
+                (index(s), index(t)) for s in self.states
+                for t in self.successors(agent, s)))
         return ids
 
     def successors(self, agent: int, state: str) -> frozenset[str]:
@@ -249,8 +237,7 @@ class Model:
                  | None = None) -> Model:
         """The submodel on the states at the indices ``keep`` (default: all),
         in that order, with per-agent depths ``depth`` in the submodel's state
-        order (default: these).  Equivalence classes are restricted, so an
-        unclosed relation given as pairs is restricted as its closure."""
+        order (default: these)."""
         if keep is None:
             keep = range(len(self.states))
         states = tuple(map(self.states.__getitem__, keep))
@@ -289,13 +276,12 @@ def _first_index_ids(column: Sequence[Hashable]) -> tuple[int, ...]:
     return tuple(map(first.setdefault, column, count()))
 
 
-def _components(index: Mapping[str, int], pairs: Iterable[Pair]
+def _components(n: int, edges: Iterable[tuple[int, int]]
                 ) -> tuple[int, ...]:
     """Class ids (as ``Model.class_ids``) of the connected components of the
-    symmetrized pairs."""
-    neigh: list[list[int]] = [[] for _ in index]
-    for s, t in pairs:
-        i, j = index[s], index[t]
+    symmetrized edges between state indices ``0..n-1``."""
+    neigh: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
         neigh[i].append(j)
         neigh[j].append(i)
     ids = [-1] * len(neigh)
@@ -330,7 +316,9 @@ class ViolationReport:
 
 
 def validate(m: Model, mode: str | None = None) -> ViolationReport | None:
-    """Check closure properties of the stored relations for the given mode.
+    """Check closure properties of ``Model.pairs`` for the given mode (an
+    equivalence-mode model is closed by construction, so only a
+    reflexive-mode relation checked as an equivalence can fail).
 
     Returns None when fine, otherwise the first violation in deterministic
     order.  Reflexivity is implicit and can never be violated.
@@ -339,18 +327,27 @@ def validate(m: Model, mode: str | None = None) -> ViolationReport | None:
     if mode == REFLEXIVE:
         return None
     for a in range(m.agents):
-        pairs = m.pairs(a)
-        key = lambda p: (m.state_index(p[0]), m.state_index(p[1]))
-        for s, t in sorted(pairs, key=key):
-            if (t, s) not in pairs:
-                return ViolationReport("symmetry", a, (s, t))
-        succ = {}
-        for s, t in pairs:
-            succ.setdefault(s, set()).add(t)
-        for s, t in sorted(pairs, key=key):
-            for u in sorted(succ.get(t, ()), key=m.state_index):
-                if u != s and (s, u) not in pairs:
-                    return ViolationReport("transitivity", a, (s, u))
+        report = _first_violation(a, m.pairs(a), m.state_index)
+        if report is not None:
+            return report
+    return None
+
+
+def _first_violation(agent: int, pairs: frozenset[Pair],
+                     order: Callable[[str], int]) -> ViolationReport | None:
+    """The first pair, in state ``order``, that breaks symmetry, else the
+    first that transitivity requires and ``pairs`` lacks."""
+    key = lambda p: (order(p[0]), order(p[1]))
+    for s, t in sorted(pairs, key=key):
+        if (t, s) not in pairs:
+            return ViolationReport("symmetry", agent, (s, t))
+    succ = {}
+    for s, t in pairs:
+        succ.setdefault(s, set()).add(t)
+    for s, t in sorted(pairs, key=key):
+        for u in sorted(succ.get(t, ()), key=order):
+            if u != s and (s, u) not in pairs:
+                return ViolationReport("transitivity", agent, (s, u))
     return None
 
 
@@ -358,22 +355,6 @@ def is_unambiguous(m: Model) -> bool:
     """True iff each agent's depth is constant on each of its own classes."""
     return all(len({m.depth(a, s) for s in cls}) == 1
                for a in range(m.agents) for cls in m.classes(a))
-
-
-def connected_component(m: Model, state: str, agent: int) -> frozenset[str]:
-    """States reachable from ``state`` along the agent's successors: its class
-    in equivalence mode, its forward-reachable set in reflexive mode."""
-    if not m.has_state(state):
-        raise ModelError(f"unknown state {state!r}")
-    reached = {state}
-    frontier = [state]
-    while frontier:
-        u = frontier.pop()
-        for v in m.successors(agent, u):
-            if v not in reached:
-                reached.add(v)
-                frontier.append(v)
-    return frozenset(reached)
 
 
 def model_size(m: Model) -> int:
@@ -433,7 +414,10 @@ def _each(items: Iterable, kind: type, what: str) -> None:
 def model_from_dict(data: Mapping) -> Model:
     """The model a file document describes.  Every field must have the JSON
     type the file format gives it: ``"states": "st"``, atoms given as one
-    string, or a depth of ``1.7``, ``true`` or ``"3"`` are refused."""
+    string, or a depth of ``1.7``, ``true`` or ``"3"`` are refused.  Each
+    agent's pairs, loops and repeats dropped, become its successor sets or,
+    in equivalence mode, its connected components; an open relation is
+    closed with a warning that names its first violation."""
     def section(key: str) -> Mapping:
         return _typed(data.get(key, {}), Mapping, key)
 
@@ -451,7 +435,7 @@ def model_from_dict(data: Mapping) -> Model:
             if set(map(len, pairs)) - {2}:
                 raise ValueError("a pair must name two states")
             _each(chain.from_iterable(pairs), str, "a state")
-            rel[int(a)] = list(map(tuple, pairs))
+            rel[int(a)] = pairs
         depth = {}
         for a, per in section("depth").items():
             _each(_typed(per, Mapping, "a depth map").values(), int,
@@ -459,20 +443,35 @@ def model_from_dict(data: Mapping) -> Model:
             depth[int(a)] = per
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model document: {exc}") from exc
-    m = Model(agents=agents, states=states, val=val, rel=rel, depth=depth,
-              mode=mode)
-    if m.mode == EQUIVALENCE:
-        # given pairs lie within their components, so equal counts mean closed
-        unclosed = [a for a in range(m.agents)
-                    if len(m.pairs(a)) != sum(len(c) * (len(c) - 1)
-                                              for c in m.classes(a))]
-        for a in unclosed:
+    index = dict(zip(states, count()))
+    edges = {}
+    for a, pairs in rel.items():
+        if not 0 <= a < agents:
+            raise ModelError(f"relation for unknown agent {a}")
+        if not index.keys() >= set(chain.from_iterable(pairs)):
+            s, t = next(p for p in pairs if not index.keys() >= set(p))
+            raise ModelError(f"relation pair ({s!r}, {t!r}) uses unknown "
+                             f"state")
+        edges[a] = {(index[s], index[t]) for s, t in pairs if s != t}
+    if mode == REFLEXIVE:
+        successors = {a: {s: [s] for s in states} for a in range(agents)}
+        for a, arcs in edges.items():
+            for i, j in arcs:
+                successors[a][states[i]].append(states[j])
+        return Model(agents, states, val, depth, mode, successors=successors)
+    class_ids = {}
+    for a, arcs in edges.items():
+        ids = class_ids[a] = _components(len(states), arcs)
+        # all arcs lie within their components, so equal counts mean closed
+        if len(arcs) != sum(c * (c - 1) for c in Counter(ids).values()):
+            report = _first_violation(
+                a, frozenset((states[i], states[j]) for i, j in arcs),
+                index.__getitem__)
             warnings.warn(
-                f"agent {a} relation was not closed; applying symmetric "
-                f"transitive closure", stacklevel=2)
-        if unclosed:
-            m = m.restrict()
-    return m
+                f"agent {a} relation was not closed ({report.property} "
+                f"fails at {report.witness}); applying symmetric transitive "
+                f"closure", stacklevel=2)
+    return Model(agents, states, val, depth, mode, class_ids=class_ids)
 
 
 def load_model(path: str) -> Model:

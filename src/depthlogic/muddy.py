@@ -206,12 +206,11 @@ def truth_table_sat(inst: ThreeSatInstance) -> bool:
 
 
 def _reduction_model(n: int) -> Model:
-    depth = {i: {"s": n + i} for i in range(1, n + 1)}
-    depth[0] = {"s": 0}
-    depth[n + 1] = {"s": 5 * n * n}
+    depth = {i: (n + i,) for i in range(1, n + 1)}
+    depth[0] = (0,)
+    depth[n + 1] = (5 * n * n,)
     return Model(agents=n + 2, states=["s"], val={"s": frozenset()},
-                 rel={a: () for a in range(n + 2)}, depth=depth,
-                 mode=EQUIVALENCE)
+                 depth=depth)
 
 
 def _clause(cl: tuple[int, ...]) -> Formula:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import cycle, islice
 from typing import Callable
 
@@ -144,13 +145,16 @@ def _agent(rng: random.Random, spec: RandomSpec) -> int:
     return rng.randrange(spec.agents)
 
 
+def _row(table: str, name: str, build) -> AxiomSchema:
+    """A schema whose instances draw an agent, then ``build`` the rest."""
+    def inst(rng: random.Random, spec: RandomSpec) -> Formula:
+        return build(rng, spec, _agent(rng, spec))
+    return AxiomSchema(name, table, inst)
+
+
 def _core_rows(table: str, announce: bool) -> list[AxiomSchema]:
     """The depth-gated K rows shared by the base table and both extensions."""
-
-    def row(name: str, build) -> AxiomSchema:
-        def inst(rng: random.Random, spec: RandomSpec) -> Formula:
-            return build(rng, spec, _agent(rng, spec))
-        return AxiomSchema(name, table, inst)
+    row = partial(_row, table)
 
     def taut(rng, spec, a):
         f = _draw(rng, spec, announce=announce)
@@ -215,10 +219,7 @@ def _core_rows(table: str, announce: bool) -> list[AxiomSchema]:
 
 
 def _announce_rows(table: str, dpal: bool) -> list[AxiomSchema]:
-    def row(name, build):
-        def inst(rng: random.Random, spec: RandomSpec) -> Formula:
-            return build(rng, spec, _agent(rng, spec))
-        return AxiomSchema(name, table, inst)
+    row = partial(_row, table)
 
     def atomic_permanence(rng, spec, a):
         phi = _draw(rng, spec, announce=True)
@@ -226,7 +227,7 @@ def _announce_rows(table: str, dpal: bool) -> list[AxiomSchema]:
         return iff(Announce(phi, p), implies(phi, p))
 
     def depth_adjustment(rng, spec, a):
-        phi =_draw(rng, spec, announce=True)
+        phi = _draw(rng, spec, announce=True)
         dphi = modal_depth(phi)
         if dpal:
             d = rng.randint(0, spec.max_depth)
@@ -530,9 +531,7 @@ def kpp_depth_atom_witness() -> tuple[Model, str, Formula]:
     still holds.  The reverse direction fails at s1."""
     m = Model(agents=2, states=["s0", "s1"],
               val={"s0": frozenset(), "s1": frozenset({"q"})},
-              rel={0: (), 1: ()},
-              depth={0: {"s0": 0, "s1": 0}, 1: {"s0": 2, "s1": 3}},
-              mode=EQUIVALENCE)
+              depth={0: {"s0": 0, "s1": 0}, 1: {"s0": 2, "s1": 3}})
     phi = KnowInf(1, Atom("q"))
     psi = And(Atom("q"), DepthExact(1, 3))
     inst = kp_ta_instance("KPp", 0, phi, psi, direction="reverse")
@@ -542,8 +541,7 @@ def kpp_depth_atom_witness() -> tuple[Model, str, Formula]:
 def edpal_kp_reverse_witness() -> tuple[Model, str, Formula]:
     """One-state, depth-0 model where announcing K[a]true breaks the reverse
     direction of knowledge preservation in EDPAL."""
-    m = Model(agents=1, states=["s"], val={"s": frozenset()}, rel={0: ()},
-              depth={0: {"s": 0}}, mode=EQUIVALENCE)
+    m = Model(agents=1, states=["s"], val={"s": frozenset()})
     inst = kp_ta_instance("KP", 0, Know(0, TOP), TOP, direction="reverse")
     return m, "s", inst
 
@@ -554,12 +552,13 @@ def leakage_fixture() -> tuple[Model, str, Formula, Formula, int]:
     a, b, c = 0, 1, 2
     # b's relation is the symmetric reflexive closure of 0~1~2 (and is
     # deliberately not transitive), hence the reflexive-mode model
+    alone = {s: {s} for s in "012"}
     m = Model(
         agents=3,
         states=["0", "1", "2"],
         val={"0": frozenset({"p0"}), "1": frozenset({"p0"}), "2": frozenset()},
-        rel={a: (), b: (("0", "1"), ("1", "0"), ("1", "2"), ("2", "1")),
-             c: ()},
+        successors={a: alone, b: {"0": {"0", "1"}, "1": {"0", "1", "2"},
+                                  "2": {"1", "2"}}, c: alone},
         depth={a: {"0": 1, "1": 1, "2": 1},
                b: {"0": 0, "1": 2, "2": 0},
                c: {"0": 2, "1": 2, "2": 2}},

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .model import EQUIVALENCE, Model, PointedModel
+from .model import Model, PointedModel
 from .semantics import FragmentError, SemanticsKind, check_naive
 from .syntax import (And, Atom, DepthAtLeast, DepthExact, Formula, KnowInf,
                      Not, TRUE_ATOM, agents_of, atoms_of, max_depth_constant,
@@ -252,12 +252,10 @@ def enumerate_models(f: Formula, max_states: int, max_depth: int,
             for vals in valuations:
                 val = dict(zip(states, vals))
                 for dv in depth_vecs:
-                    depth = {a: {s: dv[a * n + i]
-                                 for i, s in enumerate(states)}
+                    depth = {a: dv[a * n:(a + 1) * n]
                              for a in range(n_agents)}
                     m = Model(agents=n_agents, states=states, val=val,
-                              depth=depth, mode=EQUIVALENCE,
-                              class_ids=class_ids)
+                              depth=depth, class_ids=class_ids)
                     yield PointedModel(m, states[0])
 
 

@@ -19,7 +19,6 @@ def one_state_model() -> Model:
         agents=1,
         states=["s"],
         val={"s": ["p"]},
-        rel={0: []},
         depth={0: {"s": 0}},
     )
 

@@ -93,6 +93,23 @@ class TestCheck:
                    "--formula", "true"])
         assert rc == 3
 
+    @pytest.mark.parametrize("mode", ["equivalence", "reflexive"])
+    @pytest.mark.parametrize("rel,message", [
+        ({"0": [["s", "t"]]}, "relation pair ('s', 't') uses unknown state"),
+        ({"0": [["t", "t"]]}, "relation pair ('t', 't') uses unknown state"),
+        ({"1": []}, "relation for unknown agent 1"),
+        ({"-1": [["s", "s"]]}, "relation for unknown agent -1"),
+    ])
+    def test_relation_naming_unknown_state_or_agent_exits_3(
+            self, tmp_path, capsys, mode, rel, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"agents": 1, "mode": mode,
+                                    "states": ["s"], "rel": rel}))
+        rc = main(["check", "--model", str(path), "--state", "s",
+                   "--formula", "true"])
+        assert rc == 3
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
 
 @pytest.mark.parametrize("argv", [
     ["check", "--state", "s", "--formula", "K[5] p"],
@@ -330,7 +347,7 @@ class TestExportDot:
         quote, backslash = 'a"b', "c\\d"
         m = Model(agents=1, states=[quote, backslash],
                   val={quote: ['x"y'], backslash: ["p\\q"]},
-                  rel={0: [(quote, backslash), (backslash, quote)]},
+                  class_ids={0: [0, 0]},
                   depth={0: {quote: 1, backslash: 1}})
         path = tmp_path / "odd.json"
         save_model(m, str(path))

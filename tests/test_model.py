@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
 
 from depthlogic.model import (
     Model,
     ModelError,
+    PointedModel,
     canonical_json,
-    connected_component,
     is_unambiguous,
     load_model,
     loads_model,
@@ -27,30 +28,30 @@ from depthlogic.semantics import (SemanticsKind, check_naive, dpal_copy,
 from depthlogic.syntax import Atom, Know
 
 
-def chain_model(mode="equivalence", close=True):
-    pairs = [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")]
+def chain_doc(mode="equivalence", close=True) -> dict:
+    """The file document of one agent's symmetric chain a~b~c, closed to
+    one class or not."""
+    pairs = [["a", "b"], ["b", "a"], ["b", "c"], ["c", "b"]]
     if close:
-        pairs += [("a", "c"), ("c", "a")]
-    return Model(
-        agents=1,
-        states=["a", "b", "c"],
-        val={"a": ["p"], "b": [], "c": []},
-        rel={0: pairs},
-        depth={0: {"a": 0, "b": 0, "c": 0}},
-        mode=mode,
-    )
+        pairs += [["a", "c"], ["c", "a"]]
+    return {"agents": 1, "mode": mode, "states": ["a", "b", "c"],
+            "val": {"a": ["p"], "b": [], "c": []}, "rel": {"0": pairs},
+            "depth": {"0": {"a": 0, "b": 0, "c": 0}}}
+
+
+def chain_model(mode="equivalence", close=True):
+    return model_from_dict(chain_doc(mode, close))
 
 
 class TestValidate:
     def test_identity_relations_ok(self):
         m = Model(agents=2, states=["s", "t"], val={"s": [], "t": []},
-                  rel={0: [], 1: []}, depth={0: {"s": 1, "t": 2},
-                                             1: {"s": 0, "t": 0}})
+                  depth={0: {"s": 1, "t": 2}, 1: {"s": 0, "t": 0}})
         assert validate(m, "equivalence") is None
 
     def test_symmetry_violation_witness(self):
         m = Model(agents=1, states=["s", "t"], val={"s": [], "t": []},
-                  rel={0: [("s", "t")]}, depth={0: {"s": 0, "t": 0}},
+                  successors={0: {"s": {"s", "t"}, "t": {"t"}}},
                   mode="reflexive")
         report = validate(m, "equivalence")
         assert report is not None
@@ -73,12 +74,6 @@ class TestValidate:
         m2 = update(three_world_model, Know(2, Know(2, Atom("p0"))),
                     SemanticsKind.ADPAL)
         assert validate(m2, "reflexive") is None
-
-    def test_default_mode_reports_open_relation(self):
-        m = Model(agents=1, states=["s", "t"], val={"s": [], "t": []},
-                  rel={0: [("s", "t")]}, depth={0: {"s": 0, "t": 0}})
-        report = validate(m)
-        assert report is not None and report.property == "symmetry"
 
 
 class TestUnambiguous:
@@ -107,8 +102,7 @@ class TestUnambiguous:
                 agents=m.agents,
                 states=[ren[s] for s in m.states],
                 val={ren[s]: m.atoms(s) for s in m.states},
-                rel={a: [(ren[s], ren[t]) for s, t in m.pairs(a)]
-                     for a in range(m.agents)},
+                class_ids={a: m.class_ids(a) for a in range(m.agents)},
                 depth={a: {ren[s]: m.depth(a, s) for s in m.states}
                        for a in range(m.agents)},
                 mode=m.mode,
@@ -119,25 +113,24 @@ class TestUnambiguous:
 class TestConnectedComponent:
     def test_identity(self):
         m = chain_model()
-        m_id = Model(agents=1, states=["s"], val={"s": []}, rel={0: []},
-                     depth={0: {"s": 0}})
-        assert connected_component(m_id, "s", 0) == {"s"}
-        assert connected_component(m, "a", 0) == {"a", "b", "c"}
+        m_id = Model(agents=1, states=["s"], val={"s": []})
+        assert m_id.successors(0, "s") == {"s"}
+        assert m.successors(0, "a") == {"a", "b", "c"}
 
     def test_complete_relation(self):
         states = ["w", "x", "y", "z"]
-        pairs = [(s, t) for s in states for t in states if s != t]
-        m = Model(agents=1, states=states, val={s: [] for s in states},
-                  rel={0: pairs}, depth={0: {s: 0 for s in states}})
-        assert connected_component(m, "x", 0) == set(states)
+        pairs = [[s, t] for s in states for t in states if s != t]
+        m = model_from_dict({"agents": 1, "states": states,
+                             "rel": {"0": pairs}})
+        assert m.successors(0, "x") == set(states)
 
     def test_muddy_flip(self):
         inst = build_muddy(3, 3, canonical_depths(3))
-        assert connected_component(inst.model, "111", 0) == {"111", "011"}
+        assert inst.model.successors(0, "111") == {"111", "011"}
 
     def test_unknown_state(self):
         with pytest.raises(ModelError):
-            connected_component(chain_model(), "zzz", 0)
+            PointedModel(chain_model(), "zzz")
 
     def test_partition_in_equivalence_mode(self):
         rng = random.Random(9)
@@ -147,7 +140,7 @@ class TestConnectedComponent:
             for a in range(m.agents):
                 seen: dict[str, frozenset] = {}
                 for s in m.states:
-                    comp = connected_component(m, s, a)
+                    comp = m.successors(a, s)
                     assert s in comp
                     for t in comp:
                         assert seen.setdefault(t, comp) == comp
@@ -178,11 +171,6 @@ class TestClassIds:
             Model(agents=1, states=["a"], val={}, class_ids={0: [0]},
                   mode="reflexive")
 
-    def test_unclosed_pairs_kept_as_given(self):
-        m = chain_model(close=False)
-        assert ("a", "c") not in m.pairs(0)
-        assert m.classes(0) == (frozenset({"a", "b", "c"}),)
-
     def test_restrict_keeps_classes_and_takes_depths(self):
         m = chain_model().restrict([0, 2], {0: [3, 3]})
         assert m.states == ("a", "c")
@@ -198,8 +186,9 @@ class TestSuccessorSets:
         assert m.successors(0, "c") == {"b", "c"}
         assert m.pairs(0) == {("a", "b"), ("c", "b")}
         assert m.classes(0) == (frozenset({"a", "b", "c"}),)
-        by_pairs = Model(agents=1, states=["a", "b", "c"], val={},
-                         rel={0: [("a", "b"), ("c", "b")]}, mode="reflexive")
+        by_pairs = model_from_dict({
+            "agents": 1, "mode": "reflexive", "states": ["a", "b", "c"],
+            "rel": {"0": [["a", "b"], ["c", "b"]]}})
         assert canonical_json(m) == canonical_json(by_pairs)
         assert model_size(m) == model_size(by_pairs) == 3 + 5
 
@@ -253,7 +242,38 @@ class TestSerialization:
         with pytest.warns(UserWarning):
             m = loads_model(text)
         assert validate(m, "equivalence") is None
-        assert connected_component(m, "a", 0) == {"a", "b", "c"}
+        assert m.successors(0, "a") == {"a", "b", "c"}
+
+    def test_open_agents_warn_with_their_first_violation(self):
+        # agent 0 lacks (b, a), agent 1 lacks (a, c), agent 2 is closed
+        data = {"agents": 3, "states": ["a", "b", "c"],
+                "rel": {"0": [["a", "b"]],
+                        "1": [["a", "b"], ["b", "a"], ["b", "c"],
+                              ["c", "b"]],
+                        "2": [["b", "c"], ["c", "b"]]}}
+        with pytest.warns(UserWarning) as caught:
+            m = model_from_dict(data)
+        assert [str(w.message) for w in caught] == [
+            "agent 0 relation was not closed (symmetry fails at ('a', "
+            "'b')); applying symmetric transitive closure",
+            "agent 1 relation was not closed (transitivity fails at ('a', "
+            "'c')); applying symmetric transitive closure"]
+        assert m.classes(0) == (frozenset("ab"), frozenset("c"))
+        assert m.classes(1) == (frozenset("abc"),)
+        assert m.classes(2) == (frozenset("a"), frozenset("bc"))
+        assert m.pairs(1) == {(s, t) for s in "abc" for t in "abc" if s != t}
+
+    def test_loop_and_repeated_pairs_load_as_the_plain_pairs(self):
+        plain = chain_doc()
+        noisy = chain_doc()
+        noisy["rel"]["0"] = ([["a", "a"]] + plain["rel"]["0"]
+                             + [["b", "a"], ["c", "c"]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = model_from_dict(noisy)
+        assert canonical_json(m) == canonical_json(model_from_dict(plain))
+        assert to_dict(m)["rel"]["0"] == [["a", "b"], ["a", "c"], ["b", "a"],
+                                          ["b", "c"], ["c", "a"], ["c", "b"]]
 
     def test_negative_depths_load(self):
         text = canonical_json(chain_model()).replace('"a": 0', '"a": -2')

@@ -39,12 +39,10 @@ class TestBuild:
         assert set(m.states) == {"10", "01", "11"}
         assert inst.initial == "11"
         # agent relations flip one coordinate ("00" is excluded)
-        from depthlogic.model import connected_component
-
-        assert connected_component(m, "11", 0) == {"11", "01"}
-        assert connected_component(m, "11", 1) == {"11", "10"}
+        assert m.successors(0, "11") == {"11", "01"}
+        assert m.successors(1, "11") == {"11", "10"}
         # "10" flipped at coordinate 0 would be "00", which is excluded
-        assert connected_component(m, "10", 0) == {"10"}
+        assert m.successors(0, "10") == {"10"}
 
     def test_state_count_and_validation(self):
         for n in (2, 3, 4):

@@ -156,10 +156,9 @@ class TestUpdateDpal:
         # the world-duplicating semantics needs an equivalence model; close
         # agent b's chain and keep the ambiguous depths
         m0 = three_world_model
-        closure = {1: [(s, t) for s in m0.states for t in m0.states if s != t]}
         m = Model(agents=3, states=list(m0.states),
                   val={s: m0.atoms(s) for s in m0.states},
-                  rel={0: [], 1: closure[1], 2: []},
+                  class_ids={1: [0, 0, 0]},
                   depth={a: {s: m0.depth(a, s) for s in m0.states}
                          for a in range(3)})
         phi = Know(2, Know(2, Atom("p0")))
@@ -179,10 +178,10 @@ class TestUpdateDpal:
 
     def test_cross_links_only_for_shallow_agents(self):
         m = Model(agents=2, states=["s"], val={"s": ["p"]},
-                  rel={0: [], 1: []}, depth={0: {"s": 0}, 1: {"s": 2}})
+                  depth={0: {"s": 0}, 1: {"s": 2}})
         m2 = update_dpal(m, Know(1, Atom("p")))  # depth 1
-        assert "0.s" in connected_agent(m2, "1.s", 0)   # depth 0 < 1: linked
-        assert "0.s" not in connected_agent(m2, "1.s", 1)  # depth 2 >= 1: cut
+        assert "0.s" in m2.successors(0, "1.s")   # depth 0 < 1: linked
+        assert "0.s" not in m2.successors(1, "1.s")   # depth 2 >= 1: cut
         assert m2.depth(0, "1.s") == 0   # too shallow, unchanged
         assert m2.depth(1, "1.s") == 1   # decremented by d(phi)
         assert m2.depth(0, "0.s") == 0 and m2.depth(1, "0.s") == 2
@@ -291,7 +290,7 @@ class TestUpdateImage:
                                                          tracked):
         # p is false at the designated state s, then true everywhere holds
         m = Model(agents=1, states=["s", "t"], val={"s": [], "t": ["p"]},
-                  rel={0: [("s", "t"), ("t", "s")]},
+                  class_ids={0: [0, 0]},
                   depth={0: {"s": 1, "t": 1}})
         announcements = [Atom("p"), TOP]
         steps = dot.announcement_steps(m, announcements, kind, state="s")
@@ -305,7 +304,7 @@ class TestUpdateImage:
 class TestLabeling:
     def test_atom_labeling_equals_valuation(self):
         m = Model(agents=1, states=["a", "b", "c"],
-                  val={"a": ["p"], "b": [], "c": ["p"]}, rel={0: []},
+                  val={"a": ["p"], "b": [], "c": ["p"]},
                   depth={0: {"a": 0, "b": 0, "c": 0}})
         lab = check_labeling(m, Atom("p"), SemanticsKind.DPAL)
         got = lab.table[lab.root]
@@ -488,13 +487,4 @@ def test_holds_everywhere_reports_witness(one_state_model):
 
 
 def connected(m, s):
-    from depthlogic.model import connected_component
-
-    return set().union(*(connected_component(m, s, a)
-                         for a in range(m.agents)))
-
-
-def connected_agent(m, s, a):
-    from depthlogic.model import connected_component
-
-    return connected_component(m, s, a)
+    return set().union(*(m.successors(a, s) for a in range(m.agents)))

@@ -11,7 +11,7 @@ import pytest
 
 from depthlogic import dot
 from depthlogic.model import (EQUIVALENCE, REFLEXIVE, Model, canonical_json,
-                              mask_of, model_size)
+                              mask_of, model_from_dict, model_size)
 from depthlogic.muddy import build_muddy, canonical_depths, muddy_atom
 from depthlogic.props import RandomSpec, random_formula, random_model
 from depthlogic.semantics import (SemanticsKind, check_naive, update_adpal,
@@ -23,6 +23,16 @@ def closed_pairs(classes) -> frozenset:
     """All ordered non-loop pairs within each class."""
     return frozenset((s, t) for cls in classes for s in cls for t in cls
                      if s != t)
+
+
+def from_pairs(m: Model, states, val, rel, depth, mode) -> Model:
+    """The model whose file document lists these states, pairs and depths
+    (with ``m``'s agents)."""
+    return model_from_dict({
+        "agents": m.agents, "mode": mode, "states": list(states),
+        "val": {s: sorted(atoms) for s, atoms in val.items()},
+        "rel": {str(a): list(map(list, pairs)) for a, pairs in rel.items()},
+        "depth": {str(a): per for a, per in depth.items()}})
 
 
 def pair_update_dpal(m: Model, announced, truth) -> Model:
@@ -67,8 +77,7 @@ def pair_update_dpal(m: Model, announced, truth) -> Model:
         for s in states:
             groups.setdefault(find(s), []).append(s)
         rel[a] = closed_pairs(groups.values())
-    return Model(agents=m.agents, states=states, val=val, rel=rel,
-                 depth=depth, mode=EQUIVALENCE)
+    return from_pairs(m, states, val, rel, depth, EQUIVALENCE)
 
 
 def pair_update_edpal(m: Model, announced, truth) -> Model:
@@ -80,8 +89,7 @@ def pair_update_edpal(m: Model, announced, truth) -> Model:
            for a in range(m.agents)}
     depth = {a: {s: m.depth(a, s) - dphi for s in states}
              for a in range(m.agents)}
-    return Model(agents=m.agents, states=states, val=val, rel=rel,
-                 depth=depth, mode=EQUIVALENCE)
+    return from_pairs(m, states, val, rel, depth, EQUIVALENCE)
 
 
 def pair_update_adpal(m: Model, announced, truth) -> Model:
@@ -100,8 +108,7 @@ def pair_update_adpal(m: Model, announced, truth) -> Model:
                  for s in m.states}
              for a in range(m.agents)}
     val = {s: m.atoms(s) for s in m.states}
-    return Model(agents=m.agents, states=m.states, val=val, rel=rel,
-                 depth=depth, mode=REFLEXIVE)
+    return from_pairs(m, m.states, val, rel, depth, REFLEXIVE)
 
 
 PAIRS = [(SemanticsKind.DPAL, update_dpal, pair_update_dpal),
