@@ -14,6 +14,12 @@ Depths are stored by state index too: one tuple per agent, in state order,
 so ``depth(a, s)`` is an index lookup and ``depths(a)`` hands out the tuple
 itself.  Updates build these tuples directly from their input's.
 
+Input is validated once, at the boundary: ``Model(...)``, ``model_from_dict``
+and ``Model.restrict`` check everything they are given.  The models the
+checker derives from valid ones (the DPAL, EDPAL and ADPAL updates and the
+``sat`` candidates) are trusted: ``Model._derived`` sets their columns as
+given and re-checks none of them.
+
 For the labeling checker a model also offers sets of states as ``int``
 bitmasks, bit i standing for ``states[i]``: per atom, per (agent, depth
 bound) and, in reflexive mode, per state's successors.  Each is built on
@@ -111,29 +117,36 @@ class Model:
                         for s, ts in succ[a].items()):
                     raise ModelError(f"agent {a} needs each state's "
                                      f"successors, itself included")
-        depth = depth or {}
-        for a in depth:
-            if not 0 <= a < agents:
-                raise ModelError(f"depth for unknown agent {a}")
-        dmap = {}
-        for a in range(agents):
-            da = depth.get(a, {})
-            if isinstance(da, (tuple, list)):
-                if len(da) != len(states):
-                    raise ModelError(f"agent {a} needs one depth per state")
-                dmap[a] = tuple(map(int, da))
-            elif da.keys() <= index.keys():
-                dmap[a] = tuple([int(da.get(s, 0)) for s in states])
-            else:
-                unknown = min(da.keys() - index.keys())
-                raise ModelError(f"depth for unknown state {unknown!r}")
+        self._fill(agents, states, vmap, _depth_columns(agents, index, depth),
+                   mode, ids, succ, index)
+
+    @classmethod
+    def _derived(cls, agents: int, states: tuple[str, ...],
+                 val: dict[str, frozenset[str]],
+                 depth: dict[int, tuple[int, ...]], mode: str, *,
+                 ids: dict[int, tuple[int, ...]] | None = None,
+                 succ: dict[int, dict[str, frozenset[str]]] | None = None
+                 ) -> Model:
+        """A model from columns its caller guarantees, none of them checked:
+        ``states`` distinct names; ``val`` each state's atoms as a frozenset,
+        in state order; ``depth`` a tuple of ints per agent; in equivalence
+        mode ``ids``, first-index class ids (see ``class_ids``) for every
+        agent, and in reflexive mode ``succ``, each state's successors as a
+        frozenset with itself included, for every agent."""
+        m = cls.__new__(cls)
+        m._fill(agents, states, val, depth, mode, ids or {}, succ or {},
+                dict(zip(states, count())))
+        return m
+
+    def _fill(self, agents, states, val, depth, mode, ids, succ,
+              index) -> None:
         self.agents = agents
         self.states = states
         self.mode = mode
-        self._val = vmap
+        self._val = val
         self._rel: dict[int, frozenset[Pair]] = {}
         self._ids = ids
-        self._depth = dmap
+        self._depth = depth
         self._index = index
         self._succ = succ
         self._classes: dict[int, tuple[frozenset[str], ...]] = {}
@@ -237,23 +250,43 @@ class Model:
                  | None = None) -> Model:
         """The submodel on the states at the indices ``keep`` (default: all),
         in that order, with per-agent depths ``depth`` in the submodel's state
-        order (default: these)."""
-        if keep is None:
-            keep = range(len(self.states))
+        order (default: these).  A repeated or out-of-range index (negative
+        ones too) is refused, and so is a depth for an unknown agent or of the
+        wrong length."""
+        n = len(self.states)
+        keep = range(n) if keep is None else list(keep)
+        kept = set(keep)
+        outside = kept.difference(range(n))
+        if outside:
+            bad = next(i for i in keep if i in outside)
+            raise ModelError(f"no state at index {bad!r} (the model has {n})")
+        if len(kept) != len(keep):
+            raise ModelError("restrict keeps a state index twice")
+        if depth is not None:
+            depth = _depth_columns(self.agents, dict.fromkeys(
+                map(self.states.__getitem__, keep)), depth)
+        return self._restrict(keep, depth)
+
+    def _restrict(self, keep: Sequence[int],
+                  depth: dict[int, tuple[int, ...]] | None = None) -> Model:
+        """``restrict`` for distinct in-range indices and depth tuples its
+        caller guarantees."""
         states = tuple(map(self.states.__getitem__, keep))
         if depth is None:
             depth = {a: tuple(map(da.__getitem__, keep))
                      for a, da in self._depth.items()}
-        val = {s: self._val[s] for s in states}
+        val = dict(zip(states, map(self._val.__getitem__, states)))
         if self.mode == EQUIVALENCE:
-            ids = {a: tuple(map(self.class_ids(a).__getitem__, keep))
+            ids = {a: _first_index_ids(
+                       map(self.class_ids(a).__getitem__, keep))
                    for a in range(self.agents)}
-            return Model(self.agents, states, val, depth=depth, class_ids=ids)
+            return Model._derived(self.agents, states, val, depth, EQUIVALENCE,
+                                  ids=ids)
         kept = frozenset(states)
         succ = {a: {s: self.successors(a, s) & kept for s in states}
                 for a in range(self.agents)}
-        return Model(self.agents, states, val, depth=depth, mode=REFLEXIVE,
-                     successors=succ)
+        return Model._derived(self.agents, states, val, depth, REFLEXIVE,
+                              succ=succ)
 
     def __repr__(self) -> str:
         return (f"Model(agents={self.agents}, states={len(self.states)}, "
@@ -271,9 +304,34 @@ def flags_of(mask: int, n: int) -> Iterator[bool]:
     return map("1".__eq__, bin(mask)[:1:-1].ljust(n, "0")[:n])
 
 
-def _first_index_ids(column: Sequence[Hashable]) -> tuple[int, ...]:
+def _first_index_ids(column: Iterable[Hashable]) -> tuple[int, ...]:
     first: dict[Hashable, int] = {}
     return tuple(map(first.setdefault, column, count()))
+
+
+def _depth_columns(agents: int, names: Mapping[str, object],
+                   depth: Mapping[int, Mapping[str, int] | tuple[int, ...]
+                                  | list[int]] | None
+                   ) -> dict[int, tuple[int, ...]]:
+    """Per agent, its depths as ints in the order of the state ``names``
+    (a mapping keyed by them), from ``Model``'s ``depth`` argument."""
+    depth = depth or {}
+    for a in depth:
+        if not 0 <= a < agents:
+            raise ModelError(f"depth for unknown agent {a}")
+    dmap = {}
+    for a in range(agents):
+        da = depth.get(a, {})
+        if isinstance(da, (tuple, list)):
+            if len(da) != len(names):
+                raise ModelError(f"agent {a} needs one depth per state")
+            dmap[a] = tuple(map(int, da))
+        elif da.keys() <= names.keys():
+            dmap[a] = tuple([int(da.get(s, 0)) for s in names])
+        else:
+            unknown = min(da.keys() - names.keys())
+            raise ModelError(f"depth for unknown state {unknown!r}")
+    return dmap
 
 
 def _components(n: int, edges: Iterable[tuple[int, int]]

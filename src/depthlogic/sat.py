@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .model import Model, PointedModel
+from .model import EQUIVALENCE, Model, PointedModel, _first_index_ids
 from .semantics import FragmentError, SemanticsKind, check_naive
 from .syntax import (And, Atom, DepthAtLeast, DepthExact, Formula, KnowInf,
                      Not, TRUE_ATOM, agents_of, atoms_of, max_depth_constant,
@@ -241,21 +241,20 @@ def enumerate_models(f: Formula, max_states: int, max_depth: int,
         raise ValueError(
             f"bounds exceeded: ~{total} candidate models (limit {limit})")
     for n in range(1, max_states + 1):
-        states = [f"s{i}" for i in range(n)]
-        partitions = _set_partitions(n)
-        valuations = list(itertools.product(
-            *([[frozenset(c) for c in _subsets(atoms)]] * n)))
-        depth_vecs = list(itertools.product(range(max_depth + 1),
-                                            repeat=n * n_agents))
+        states = tuple(f"s{i}" for i in range(n))
+        partitions = list(map(_first_index_ids, _set_partitions(n)))
+        valuations = [dict(zip(states, vals)) for vals in itertools.product(
+            *([[frozenset(c) for c in _subsets(atoms)]] * n))]
+        depths = [{a: dv[a * n:(a + 1) * n] for a in range(n_agents)}
+                  for dv in itertools.product(range(max_depth + 1),
+                                              repeat=n * n_agents)]
+        # candidates share these columns, as models never change theirs
         for parts in itertools.product(partitions, repeat=n_agents):
             class_ids = dict(enumerate(parts))
-            for vals in valuations:
-                val = dict(zip(states, vals))
-                for dv in depth_vecs:
-                    depth = {a: dv[a * n:(a + 1) * n]
-                             for a in range(n_agents)}
-                    m = Model(agents=n_agents, states=states, val=val,
-                              depth=depth, class_ids=class_ids)
+            for val in valuations:
+                for depth in depths:
+                    m = Model._derived(n_agents, states, val, depth,
+                                       EQUIVALENCE, ids=class_ids)
                     yield PointedModel(m, states[0])
 
 

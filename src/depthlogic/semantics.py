@@ -22,7 +22,7 @@ import operator
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 
 from .model import EQUIVALENCE, REFLEXIVE, Model, flags_of, mask_of
 from .syntax import (And, Announce, Atom, DepthAtLeast, DepthExact, Formula,
@@ -155,10 +155,10 @@ def update_dpal(m: Model, announced: Formula, pre: int | None = None
         raise ModeError("DPAL update requires an equivalence-mode model")
     flags = _flags(m, announced, SemanticsKind.DPAL, pre)
     dphi = modal_depth(announced)
-    n = len(m.states)   # class ids are state indices, below this
+    n = len(m.states)   # the 1. copies follow the n 0. copies
     neg, pos = _COPY_PREFIX
-    states = (list(map(neg.__add__, m.states))
-              + list(map(pos.__add__, compress(m.states, flags))))
+    states = (tuple(map(neg.__add__, m.states))
+              + tuple(map(pos.__add__, compress(m.states, flags))))
     atoms = list(map(m.atoms, m.states))
     val = dict(zip(states, atoms + list(compress(atoms, flags))))
     depth = {}
@@ -168,15 +168,17 @@ def update_dpal(m: Model, announced: Formula, pre: int | None = None
         pos_ids = list(compress(ids, flags))
         pos_da = list(compress(da, flags))
         # a class links its copies iff the agent is too shallow at one of its
-        # announcement states; the 1. copies of the others get new ids
-        linked = set(compress(pos_ids, map(dphi.__gt__, pos_da)))
-        new_id = {c: c if c in linked else c + n for c in set(pos_ids)}
-        class_ids[a] = ids + tuple(map(new_id.__getitem__, pos_ids))
+        # announcement states; the 1. copies of the others form a class of
+        # their own, whose first-index id is the state index of its first
+        # 1. copy
+        linked = list(compress(pos_ids, map(dphi.__gt__, pos_da)))
+        first = dict(zip(linked, linked))
+        class_ids[a] = ids + tuple(map(first.setdefault, pos_ids, count(n)))
         # deep enough agents hear the announcement and lose its depth
         shifted = {d: d - dphi if d >= dphi else d for d in set(pos_da)}
         depth[a] = da + tuple(map(shifted.__getitem__, pos_da))
-    return Model(agents=m.agents, states=states, val=val, depth=depth,
-                 mode=EQUIVALENCE, class_ids=class_ids)
+    return Model._derived(m.agents, states, val, depth, EQUIVALENCE,
+                          ids=class_ids)
 
 
 def update_edpal(m: Model, announced: Formula, pre: int | None = None
@@ -190,7 +192,7 @@ def update_edpal(m: Model, announced: Formula, pre: int | None = None
     depth = {a: tuple(map(operator.sub, compress(m.depths(a), flags),
                           repeat(dphi)))
              for a in range(m.agents)}
-    return m.restrict(list(compress(range(len(flags)), flags)), depth)
+    return m._restrict(list(compress(range(len(flags)), flags)), depth)
 
 
 def update_adpal(m: Model, announced: Formula, pre: int | None = None
@@ -202,9 +204,9 @@ def update_adpal(m: Model, announced: Formula, pre: int | None = None
     dphi = modal_depth(announced)
     yes = frozenset(compress(m.states, flags))
     succ: dict[int, dict[str, frozenset[str]]] = {}
-    depth: dict[int, list[int]] = {}
+    depth: dict[int, tuple[int, ...]] = {}
     for a in range(m.agents):
-        succ[a], depth[a] = {}, []
+        succ[a], da = {}, []
         for s, d, heard in zip(m.states, m.depths(a), flags):
             ts = m.successors(a, s)
             if d >= dphi:
@@ -212,10 +214,11 @@ def update_adpal(m: Model, announced: Formula, pre: int | None = None
                 cut = ts & yes if heard else ts - yes
                 ts = cut if len(cut) < len(ts) else ts   # else shared with m
             succ[a][s] = ts
-            depth[a].append(d)
-    val = {s: m.atoms(s) for s in m.states}
-    return Model(agents=m.agents, states=m.states, val=val, depth=depth,
-                 mode=REFLEXIVE, successors=succ)
+            da.append(d)
+        depth[a] = tuple(da)
+    val = dict(zip(m.states, map(m.atoms, m.states)))
+    return Model._derived(m.agents, m.states, val, depth, REFLEXIVE,
+                          succ=succ)
 
 
 # -- labeling checker --

@@ -391,3 +391,39 @@ class TestDepthsByIndex:
                 if truth[s]:
                     assert dpal.depth(a, dpal_copy(s, True)) == heard(d)
                     assert edpal.depth(a, s) == d - 1
+
+
+class TestRestrictRefuses:
+    @pytest.mark.parametrize("keep", [[5], [3], [0, 4]])
+    def test_index_past_the_end(self, keep):
+        with pytest.raises(ModelError, match="no state at index"):
+            chain_model().restrict(keep)
+
+    @pytest.mark.parametrize("keep", [[-1], [0, -3]])
+    def test_negative_index(self, keep):
+        with pytest.raises(ModelError, match="no state at index -"):
+            chain_model().restrict(keep)
+
+    @pytest.mark.parametrize("keep", [[0, 0], [2, 1, 2]])
+    def test_repeated_index(self, keep):
+        with pytest.raises(ModelError, match="twice"):
+            chain_model().restrict(keep)
+
+    def test_reflexive_mode_too(self, three_world_model):
+        for keep in ([3], [-1], [1, 1]):
+            with pytest.raises(ModelError):
+                three_world_model.restrict(keep)
+
+    @pytest.mark.parametrize("depth", [{0: [1]}, {0: (1, 2, 3)}])
+    def test_depth_of_wrong_length(self, depth):
+        with pytest.raises(ModelError, match="one depth per state"):
+            chain_model().restrict([0, 2], depth)
+
+    @pytest.mark.parametrize("depth", [{1: [0, 0]}, {-1: [0, 0]}])
+    def test_depth_for_unknown_agent(self, depth):
+        with pytest.raises(ModelError, match="unknown agent"):
+            chain_model().restrict([0, 2], depth)
+
+    def test_depth_for_unknown_state(self):
+        with pytest.raises(ModelError, match="unknown state 'b'"):
+            chain_model().restrict([0, 2], {0: {"a": 1, "b": 2}})
