@@ -11,6 +11,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import functools
 import operator
 import random
 import sys
@@ -264,6 +265,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache   # built once per process; each parse makes a new namespace
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="depthlogic",

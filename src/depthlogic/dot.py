@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from .model import EQUIVALENCE, Model, mask_of
-from .semantics import (SemanticsKind, check_naive, dpal_copy, update,
-                        update_image)
+from bisect import bisect_left
+
+from .model import EQUIVALENCE, Model, pair_walk
+# check_naive is unused here, but the traced benchmark wraps dot.check_naive
+# by name
+from .semantics import (SemanticsKind, check_labeling, check_naive, dpal_copy,
+                        update, update_image)
 from .syntax import Formula, to_text
 
 # the name prefixes of a state's two DPAL copies
@@ -38,17 +42,17 @@ def _node_lines(m: Model, prefix: str, designated: str | None) -> list[str]:
 def _edge_lines(m: Model, prefix: str) -> list[str]:
     # an equivalence relation is symmetric: draw each pair once, undirected
     undirected = m.mode == EQUIVALENCE
-    node = {s: f'"{prefix}{_escaped(s)}"' for s in m.states}
+    node = [f'"{prefix}{_escaped(s)}"' for s in m.states]
     lines = []
     for a in range(m.agents):
-        for i, s in enumerate(m.states):
-            for t in sorted(m.successors(a, s), key=m.state_index):
-                if t == s or undirected and m.state_index(t) < i:
-                    continue
+        for i, js in enumerate(pair_walk(m, a)):
+            s = m.states[i]
+            for j in js[bisect_left(js, i):] if undirected else js:
+                t = m.states[j]
                 style = " dir=none" if undirected else ""
                 if undirected and s[:2] in _COPIES and s[:2] != t[:2]:
                     style += " style=dashed"   # a DPAL cross-copy link
-                lines.append(f'    {node[s]} -> {node[t]} '
+                lines.append(f'    {node[i]} -> {node[j]} '
                              f'[color={agent_color(a)} label="{a}"{style}];')
     return lines
 
@@ -71,7 +75,8 @@ def announcement_steps(m: Model, announcements: list[Formula],
     steps: list[tuple[Model, str | None]] = [(m, state)]
     cur, here = m, None if state is None else m.state_index(state)
     for phi in announcements:
-        pre = mask_of(check_naive(cur, s, phi, kind) for s in cur.states)
+        lab = check_labeling(cur, phi, kind)
+        pre = lab.masks[lab.root]
         if here is not None:
             here = update_image(kind, pre, len(cur.states))[here]
         cur = update(cur, phi, kind, pre)

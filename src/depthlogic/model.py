@@ -6,9 +6,15 @@ one class id per state index for each agent; a reflexive-mode relation
 relations only through ``successors``: the agent's class, or the state
 itself plus its direct successors.  Explicit pairs exist only in model
 files: ``model_from_dict`` turns them into class ids or successor sets
-(closing an open equivalence relation with a warning), and ``to_dict`` and
-``validate`` read ``Model.pairs``, derived from the successors.  Pairs never
+(closing an open equivalence relation with a warning), ``validate`` reads
+``Model.pairs``, derived from the successors, and the writer, ``to_dict``
+and the DOT export walk them by state index (``pair_walk``).  Pairs never
 list reflexive loops.
+
+Files are written by one streaming writer: ``save_model`` writes, and
+``canonical_json`` joins, the fixed file schema as chunks of text, laid out
+byte for byte as ``json.dumps(to_dict(m), sort_keys=True, indent=2)`` plus a
+newline lays it out, without building ``to_dict`` or the whole text.
 
 Depths are stored by state index too: one tuple per agent, in state order,
 so ``depth(a, s)`` is an index lookup and ``depths(a)`` hands out the tuple
@@ -30,11 +36,13 @@ from __future__ import annotations
 
 import json
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import (Callable, Hashable, Iterable, Iterator, Mapping,
                              Sequence)
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, compress, count, repeat
+from json.encoder import encode_basestring_ascii
 
 EQUIVALENCE = "equivalence"
 REFLEXIVE = "reflexive"
@@ -304,6 +312,15 @@ def flags_of(mask: int, n: int) -> Iterator[bool]:
     return map("1".__eq__, bin(mask)[:1:-1].ljust(n, "0")[:n])
 
 
+# bin() digits as the bytes 0 and 1, so that ``compress`` reads them
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bits_of(mask: int) -> Iterator[int]:
+    """The indices of a bitmask's set bits, ascending."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BITS))
+
+
 def _first_index_ids(column: Iterable[Hashable]) -> tuple[int, ...]:
     first: dict[Hashable, int] = {}
     return tuple(map(first.setdefault, column, count()))
@@ -423,29 +440,102 @@ def model_size(m: Model) -> int:
 
 # -- serialization --
 
-def to_dict(m: Model) -> dict:
-    def pair_key(p: Pair) -> tuple[int, int]:
-        return (m.state_index(p[0]), m.state_index(p[1]))
+def pair_walk(m: Model, agent: int) -> Iterator[list[int]]:
+    """Per state index i, in order, the indices of the agent's successors of
+    ``states[i]`` other than i, ascending: the agent's pairs in (index s,
+    index t) order.  In equivalence mode these are the other members of i's
+    class."""
+    if m.mode == EQUIVALENCE:
+        ids = m.class_ids(agent)
+        members: dict[int, list[int]] = {}
+        for i, c in enumerate(ids):
+            members.setdefault(c, []).append(i)
+        for i, c in enumerate(ids):
+            cls = members[c]
+            p = bisect_left(cls, i)
+            yield cls[:p] + cls[p + 1:]
+    else:
+        index = m.state_index
+        for i, s in enumerate(m.states):
+            js = sorted(map(index, m.successors(agent, s)))
+            js.remove(i)
+            yield js
 
+
+def to_dict(m: Model) -> dict:
+    states = m.states
     return {
         "agents": m.agents,
         "mode": m.mode,
-        "states": list(m.states),
-        "val": {s: sorted(m.atoms(s)) for s in m.states},
-        "rel": {str(a): [list(p) for p in sorted(m.pairs(a), key=pair_key)]
+        "states": list(states),
+        "val": {s: sorted(m.atoms(s)) for s in states},
+        "rel": {str(a): [[states[i], states[j]]
+                         for i, js in enumerate(pair_walk(m, a)) for j in js]
                 for a in range(m.agents)},
-        "depth": {str(a): dict(zip(m.states, m.depths(a)))
+        "depth": {str(a): dict(zip(states, m.depths(a)))
                   for a in range(m.agents)},
     }
 
 
+def _json_chunks(m: Model) -> Iterator[str]:
+    """``json.dumps(to_dict(m), sort_keys=True, indent=2) + "\\n"`` as text
+    chunks, without building ``to_dict``: the file schema is fixed, so its
+    keys are laid out in sorted order here, each state name is quoted once
+    as the encoder quotes it, and each agent's pairs come from
+    ``pair_walk``, one state's at a time."""
+    states = m.states
+    quoted = list(map(encode_basestring_ascii, states))
+    by_name = sorted(range(len(states)), key=states.__getitem__)
+    keys = [quoted[i] + ": " for i in by_name]
+    agents = sorted(range(m.agents), key=str)   # "10" sorts before "2"
+    yield '{\n  "agents": ' + json.dumps(m.agents) + ',\n  "depth": {'
+    for k, a in enumerate(agents):
+        da = m.depths(a)
+        yield (f'{"," if k else ""}\n    "{a}": '
+               + _block([key + str(da[i]) for key, i in zip(keys, by_name)],
+                        4, "{}"))
+    yield '\n  },\n  "mode": ' + json.dumps(m.mode) + ',\n  "rel": {'
+    for k, a in enumerate(agents):
+        yield f'{"," if k else ""}\n    "{a}": '
+        sep = "["
+        for i, js in enumerate(pair_walk(m, a)):
+            if js:
+                head = "\n      [\n        " + quoted[i] + ",\n        "
+                tail = "\n      ]"
+                yield (sep + head + (tail + "," + head).join(
+                    map(quoted.__getitem__, js)) + tail)
+                sep = ","
+        yield "[]" if sep == "[" else "\n    ]"
+    yield '\n  },\n  "states": ' + _block(quoted, 2, "[]")
+    atoms_text = {   # each distinct atom set quoted once
+        atoms: _block(list(map(encode_basestring_ascii, sorted(atoms))), 4,
+                      "[]")
+        for atoms in set(map(m.atoms, states))}
+    val = [key + atoms_text[m.atoms(states[i])]
+           for key, i in zip(keys, by_name)]
+    yield ',\n  "val": ' + _block(val, 2, "{}") + "\n}\n"
+
+
+def _block(items: list[str], indent: int, brackets: str) -> str:
+    """``items`` in a JSON array or object (``brackets`` is ``"[]"`` or
+    ``"{}"``) whose closing bracket is indented by ``indent`` spaces, laid
+    out as ``json.dumps(..., indent=2)`` lays it out."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (indent + 2)
+    return (brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * indent
+            + brackets[1])
+
+
 def canonical_json(m: Model) -> str:
-    return json.dumps(to_dict(m), sort_keys=True, indent=2) + "\n"
+    """The model's file text: ``json.dumps(to_dict(m), sort_keys=True,
+    indent=2)`` plus a newline."""
+    return "".join(_json_chunks(m))
 
 
 def save_model(m: Model, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(m))
+        fh.writelines(_json_chunks(m))
 
 
 _JSON_TYPES = {int: "an integer", str: "a string", list: "an array",

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count, repeat
 
-from .model import EQUIVALENCE, REFLEXIVE, Model, flags_of, mask_of
+from .model import (EQUIVALENCE, REFLEXIVE, Model, bits_of, flags_of,
+                    mask_of)
 from .syntax import (And, Announce, Atom, DepthAtLeast, DepthExact, Formula,
                      Know, KnowInf, Not, TRUE_ATOM, modal_depth, walk)
 
@@ -101,7 +102,7 @@ def update(m: Model, announced: Formula, kind: SemanticsKind,
            pre: int | None = None) -> Model:
     """The model after announcing ``announced``.  ``pre`` is where it holds,
     as a mask over ``m.states`` (bit i for ``states[i]``); None computes it
-    with ``check_naive``."""
+    with ``check_labeling``."""
     if kind is SemanticsKind.DPAL:
         return update_dpal(m, announced, pre)
     if kind is SemanticsKind.EDPAL:
@@ -123,16 +124,19 @@ def update_image(kind: SemanticsKind, pre: int, n: int) -> list[int | None]:
     if kind is SemanticsKind.DBEL:
         raise FragmentError(_NO_DBEL_UPDATE)
     dpal = kind is SemanticsKind.DPAL
-    kept = itertools.count(n if dpal else 0)
-    return [next(kept) if f else (i if dpal else None)
-            for i, f in enumerate(flags_of(pre, n))]
+    image: list[int | None] = list(range(n)) if dpal else [None] * n
+    for i, j in zip(bits_of(pre), count(n if dpal else 0)):
+        image[i] = j
+    return image
 
 
 def _flags(m: Model, announced: Formula, kind: SemanticsKind,
            pre: int | None) -> list[bool]:
-    """Per state of m, whether the announcement holds there."""
+    """Per state of m, whether the announcement holds there (``pre``, or
+    the labeling's root mask when None)."""
     if pre is None:
-        return [check_naive(m, s, announced, kind) for s in m.states]
+        lab = check_labeling(m, announced, kind)
+        pre = lab.masks[lab.root]
     return list(flags_of(pre, len(m.states)))
 
 

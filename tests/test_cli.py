@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from depthlogic import dot, muddy, semantics
 from depthlogic.cli import main
 from depthlogic.model import Model, load_model, save_model, to_dict
+from depthlogic.muddy import build_muddy, canonical_depths
 
 
 @pytest.fixture
@@ -384,3 +386,56 @@ def test_determinism_under_seed(tmp_path):
                      "--seed", "7", "--out", str(path)]) == 0
     rows = lambda p: [r[:4] + r[5:] for r in csv.reader(p.open())]  # noqa: E731
     assert rows(a) == rows(b)  # identical apart from the timing column
+
+
+class TestCachedParser:
+    """``build_parser`` is built once per process; each call of ``main``
+    must still start from the parser's defaults."""
+
+    def test_out_does_not_carry_over(self, model_file, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["update", "--model", model_file, "--formula", "p",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        written = out.read_text()
+        assert main(["check", "--model", model_file, "--state", "s",
+                     "--formula", "p"]) == 0
+        assert capsys.readouterr().out == "true\n"
+        assert main(["update", "--model", model_file, "--formula", "p"]) == 0
+        assert capsys.readouterr().out == written
+        assert out.read_text() == written
+
+    def test_announce_lists_do_not_accumulate(self, three_world_file,
+                                              capsys):
+        argv = ["export-dot", "--model", three_world_file, "--semantics",
+                "ADPAL", "--announce", "p0", "--announce", "K[1] p0"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("subgraph cluster_") == 3
+        assert main(argv[:5]) == 0
+        assert "subgraph" not in capsys.readouterr().out
+
+
+def test_updates_and_dot_label_instead_of_running_the_oracle(
+        monkeypatch, tmp_path):
+    def oracle(*args):
+        raise AssertionError("check_naive was called")
+
+    for module in (semantics, dot, muddy):
+        monkeypatch.setattr(module, "check_naive", oracle)
+    monkeypatch.setattr(semantics, "_nv", oracle)
+    m3 = tmp_path / "m3.json"
+    save_model(build_muddy(3, 3, canonical_depths(3)).model, str(m3))
+    for sem in ("DPAL", "EDPAL", "ADPAL"):
+        assert main(["update", "--model", str(m3), "--formula",
+                     "[!K[2] m2] !K[1] m1", "--semantics", sem,
+                     "--out", str(tmp_path / "u.json")]) == 0
+        assert main(["export-dot", "--model", str(m3), "--state", "111",
+                     "--semantics", sem, "--announce", "!K[2] m2",
+                     "--announce", "!K[1] m1",
+                     "--out", str(tmp_path / "e.dot")]) == 0
+        assert main(["muddy", "--k", "3", "--semantics", sem,
+                     "--dot", str(tmp_path / "m.dot")]) == 0

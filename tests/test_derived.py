@@ -4,12 +4,11 @@ public constructor builds from its columns."""
 from __future__ import annotations
 
 import itertools
-import json
 import random
 
 import pytest
 
-from depthlogic.model import EQUIVALENCE, Model, canonical_json, to_dict
+from depthlogic.model import EQUIVALENCE, Model, canonical_json
 from depthlogic.muddy import build_muddy, canonical_depths, phi_k
 from depthlogic.props import RandomSpec, random_formula, random_model
 from depthlogic.sat import _set_partitions, _subsets, enumerate_models
@@ -44,13 +43,7 @@ def assert_same_as_validated(m: Model) -> None:
         assert r.class_ids(a) == m.class_ids(a)
         assert all(r.successors(a, s) == m.successors(a, s)
                    for s in m.states)
-    assert compact_json(r) == compact_json(m)
-
-
-def compact_json(m: Model) -> str:
-    """``canonical_json`` without its indentation, which keeps ``json`` on
-    its C encoder for the larger DPAL products."""
-    return json.dumps(to_dict(m), sort_keys=True)
+    assert canonical_json(r) == canonical_json(m)
 
 
 def is_first_index(ids: tuple[int, ...]) -> bool:

@@ -2,30 +2,34 @@
 
 from __future__ import annotations
 
+import json
 import random
 import warnings
 
 import pytest
 
 from depthlogic.model import (
+    REFLEXIVE,
     Model,
     ModelError,
     PointedModel,
+    bits_of,
     canonical_json,
     is_unambiguous,
     load_model,
     loads_model,
     model_from_dict,
     model_size,
+    pair_walk,
     save_model,
     to_dict,
     validate,
 )
-from depthlogic.muddy import build_muddy, canonical_depths
+from depthlogic.muddy import build_muddy, canonical_depths, phi_k
 from depthlogic.props import RandomSpec, random_model
 from depthlogic.semantics import (SemanticsKind, check_naive, dpal_copy,
                                   update_adpal, update_dpal, update_edpal)
-from depthlogic.syntax import Atom, Know
+from depthlogic.syntax import Announce, Atom, Know, walk
 
 
 def chain_doc(mode="equivalence", close=True) -> dict:
@@ -427,3 +431,96 @@ class TestRestrictRefuses:
     def test_depth_for_unknown_state(self):
         with pytest.raises(ModelError, match="unknown state 'b'"):
             chain_model().restrict([0, 2], {0: {"a": 1, "b": 2}})
+
+
+def stdlib_json(m: Model) -> str:
+    """The file text as the standard library's encoder writes it."""
+    return json.dumps(to_dict(m), sort_keys=True, indent=2) + "\n"
+
+
+def random_reflexive(rng: random.Random, agents: int, n: int) -> Model:
+    states = [f"r{i}" for i in range(n)]
+    succ = {a: {s: {s} | {t for t in states if rng.random() < 0.3}
+                for s in states} for a in range(agents)}
+    depth = {a: [rng.randint(0, 3) for _ in states] for a in range(agents)}
+    val = {s: {p for p in ("p", "q") if rng.randrange(2)} for s in states}
+    return Model(agents, states, val, depth, REFLEXIVE, successors=succ)
+
+
+class TestStreamingWriter:
+    """``canonical_json`` and ``save_model`` lay the file out by hand; both
+    must match the standard library's indented, sorted encoding, and the
+    pairs they list must be ``Model.pairs`` in state-index order."""
+
+    def assert_written_as_stdlib(self, m: Model, path) -> None:
+        expected = stdlib_json(m)
+        assert canonical_json(m) == expected
+        save_model(m, str(path))
+        assert path.read_bytes() == expected.encode("utf-8")
+        for a in range(m.agents):
+            walked = [(m.states[i], m.states[j])
+                      for i, js in enumerate(pair_walk(m, a)) for j in js]
+            assert walked == sorted(m.pairs(a), key=lambda p: (
+                m.state_index(p[0]), m.state_index(p[1])))
+
+    def test_random_models_in_both_modes(self, tmp_path):
+        rng = random.Random(5)
+        for _ in range(40):
+            spec = RandomSpec(agents=rng.randint(1, 4), max_states=7)
+            self.assert_written_as_stdlib(random_model(rng, spec),
+                                          tmp_path / "eq.json")
+            self.assert_written_as_stdlib(
+                random_reflexive(rng, rng.randint(1, 4), rng.randint(1, 7)),
+                tmp_path / "refl.json")
+
+    def test_twelve_agents_sort_as_strings(self, tmp_path):
+        states = ["a", "b", "c"]
+        m = Model(12, states, {"a": ["p"]},
+                  {a: [a, a + 1, 0] for a in range(12)},
+                  class_ids={a: [0, a % 2, 1] for a in range(12)})
+        text = canonical_json(m)
+        assert text.index('"10": ') < text.index('"2": ')
+        self.assert_written_as_stdlib(m, tmp_path / "m.json")
+
+    def test_agent_without_pairs_and_states_without_atoms(self, tmp_path):
+        m = Model(2, ["x", "y"], {}, class_ids={1: [0, 0]})
+        assert to_dict(m)["rel"]["0"] == []
+        assert to_dict(m)["val"] == {"x": [], "y": []}
+        self.assert_written_as_stdlib(m, tmp_path / "m.json")
+        refl = Model(1, ["x"], {}, mode=REFLEXIVE)
+        self.assert_written_as_stdlib(refl, tmp_path / "r.json")
+        self.assert_written_as_stdlib(Model(1, [], {}), tmp_path / "0.json")
+
+    def test_negative_edpal_depths(self, tmp_path):
+        m = build_muddy(3, 3, canonical_depths(3)).model
+        for _ in range(3):
+            everywhere = (1 << len(m.states)) - 1
+            m = update_edpal(m, Know(0, Atom("true")), everywhere)
+        assert min(map(min, map(m.depths, range(m.agents)))) < 0
+        self.assert_written_as_stdlib(m, tmp_path / "m.json")
+
+    def test_quotes_backslashes_and_non_ascii_names(self, tmp_path):
+        names = ['a"b', "c\\d", "é", "☃\x01", "\U0001f600", "tab\tx"]
+        m = Model(2, names, {s: [s, "p"] for s in names[::2]},
+                  {0: [1, 2, 0, 1, 0, 3]},
+                  class_ids={0: [0, 0, 1, 1, 2, 0], 1: [0, 1, 0, 1, 0, 1]})
+        self.assert_written_as_stdlib(m, tmp_path / "m.json")
+        assert load_model(str(tmp_path / "m.json")).states == m.states
+
+    def test_every_model_of_the_dpal_phi_5_chain(self, tmp_path):
+        m = build_muddy(5, 5, canonical_depths(5)).model
+        chain = [m]
+        for g in walk(phi_k(5)):
+            if isinstance(g, Announce):
+                chain.append(update_dpal(chain[-1], g.announced))
+        assert len(chain) == 5
+        for m in chain:
+            self.assert_written_as_stdlib(m, tmp_path / "m.json")
+
+
+def test_bits_of_lists_set_bits_in_order():
+    rng = random.Random(9)
+    for mask in [0, 1, 2, 5, 1 << 70] + [rng.getrandbits(200)
+                                          for _ in range(20)]:
+        assert list(bits_of(mask)) == [i for i in range(mask.bit_length())
+                                       if mask >> i & 1]
