@@ -21,13 +21,12 @@ from . import dot as dotmod
 from . import muddy as muddymod
 from . import props
 # validate is unused here, but the traced benchmark wraps cli.validate by name
-from .model import (Model, ModelError, canonical_json, load_model, model_size,
+from .model import (ModelError, canonical_json, load_model, model_size,
                     save_model, validate)
 from .sat import sat_bruteforce
 from .semantics import (FragmentError, ModeError, SemanticsKind, check,
                         update)
-from .syntax import (Announce, Formula, ParseError, agents_of, parse, size,
-                     to_text, walk)
+from .syntax import Announce, Formula, ParseError, parse, size, to_text, walk
 
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
@@ -47,12 +46,6 @@ def _read_formula(args: argparse.Namespace) -> Formula:
         raise ParseError("no formula given (use --formula or --formula-file)",
                          line=1, column=1)
     return parse(text)
-
-
-def _check_agents(m: Model, formulas: list[Formula]) -> None:
-    unknown = set().union(*map(agents_of, formulas)) - set(range(m.agents))
-    if unknown:
-        raise ModelError(f"formula names unknown agent {min(unknown)}")
 
 
 def _at_least(low: int):
@@ -78,7 +71,6 @@ def _add_semantics_flag(p: argparse.ArgumentParser,
 def cmd_check(args: argparse.Namespace) -> int:
     m = load_model(args.model)
     f = _read_formula(args)
-    _check_agents(m, [f])
     result = check(m, args.state, f, _semantics(args.semantics))
     print("true" if result else "false")
     return 0
@@ -87,7 +79,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_update(args: argparse.Namespace) -> int:
     m = load_model(args.model)
     f = _read_formula(args)
-    _check_agents(m, [f])
     upd = update(m, f, _semantics(args.semantics))
     if args.out:
         save_model(upd, args.out)
@@ -249,7 +240,6 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     m = load_model(args.model)
     kind = _semantics(args.semantics)
     announcements = [parse(a) for a in args.announce or []]
-    _check_agents(m, announcements)
     if args.state is not None and not m.has_state(args.state):
         raise ModelError(f"unknown state {args.state!r}")
     if announcements:

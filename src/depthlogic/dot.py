@@ -75,8 +75,7 @@ def announcement_steps(m: Model, announcements: list[Formula],
     steps: list[tuple[Model, str | None]] = [(m, state)]
     cur, here = m, None if state is None else m.state_index(state)
     for phi in announcements:
-        lab = check_labeling(cur, phi, kind)
-        pre = lab.masks[lab.root]
+        pre = check_labeling(cur, phi, kind).root_mask
         if here is not None:
             here = update_image(kind, pre, len(cur.states))[here]
         cur = update(cur, phi, kind, pre)

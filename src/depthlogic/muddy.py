@@ -262,8 +262,8 @@ def reduction_decide(inst: ThreeSatInstance) -> bool:
         key = tuple(sorted(cl))
         mask = masks.get(key)
         if mask is None:
-            lab = check_labeling(final, _clause(key), SemanticsKind.DPAL)
-            mask = masks[key] = lab.masks[lab.root]
+            mask = masks[key] = check_labeling(
+                final, _clause(key), SemanticsKind.DPAL).root_mask
         phi &= mask
     # the labeling's K rule; the depth gate is modal_depth(!phi') = 0
     known = _known(final, 0, phi ^ full) & final.depth_mask(0, 0)

@@ -2,30 +2,30 @@
 
 Two checking routes are provided: ``check_naive`` is a direct recursive
 evaluator (the oracle), and ``check``/``check_labeling`` implement the
-bottom-up subformula labeling algorithm.  Within one call, it labels each
-formula node object once per model and runs each announcement's update once
-per (model, announced node object); nothing is cached across calls.  The
-labeling keeps each subformula's label as one ``int`` bitmask over the
-states of its model (bit i for ``states[i]``), so ``!`` and ``&`` are single
-integer operations.  ``K``/``Kinf`` drop the classes that reach outside the
-label (equivalence mode) or test each state's successor mask (reflexive
-mode), and ``K`` is gated by the model's cached depth masks.
-Updates take the announcement's truth as such a mask (``pre``); both
-checkers, the DOT export and the 3-SAT reduction follow states through
-``update_image``.
+bottom-up subformula labeling algorithm by running a post-order program over
+the formula's distinct node objects, compiled once and kept on the formula.
+Labels and updates are not cached across calls; within one, each node
+object is labeled once per model and each (model, announced node object)
+update runs once.  Each label is one ``int`` bitmask over the states of its
+model (bit i for ``states[i]``), so ``!`` and ``&`` are single integer
+operations.  ``K``/``Kinf`` drop the classes that reach outside the label
+(equivalence mode) or test each state's successor mask (reflexive mode),
+and ``K`` is gated by the model's cached depth masks.  Updates take the
+announcement's truth as such a mask (``pre``); both checkers, the DOT
+export and the 3-SAT reduction follow states through ``update_image``.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, count, repeat
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress, count, repeat
 
-from .model import (EQUIVALENCE, REFLEXIVE, Model, bits_of, flags_of,
-                    mask_of)
+from .model import (EQUIVALENCE, REFLEXIVE, Model, ModelError, bits_of,
+                    flags_of, mask_of)
 from .syntax import (And, Announce, Atom, DepthAtLeast, DepthExact, Formula,
                      Know, KnowInf, Not, TRUE_ATOM, modal_depth, walk)
 
@@ -135,8 +135,7 @@ def _flags(m: Model, announced: Formula, kind: SemanticsKind,
     """Per state of m, whether the announcement holds there (``pre``, or
     the labeling's root mask when None)."""
     if pre is None:
-        lab = check_labeling(m, announced, kind)
-        pre = lab.masks[lab.root]
+        pre = check_labeling(m, announced, kind).root_mask
     return list(flags_of(pre, len(m.states)))
 
 
@@ -227,30 +226,97 @@ def update_adpal(m: Model, announced: Formula, pre: int | None = None
 
 # -- labeling checker --
 
+# Opcodes of a compiled formula; an instruction is (op, a, b, c)
+_AND, _NOT, _ATOM, _ANNOUNCE, _DEPTH, _KNOW = range(6)
+
+
+def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
+    """The program ``(code, top_agent)`` over the distinct node objects
+    under ``roots``, and each node's slot by id (good while they live).
+    ``code`` has one instruction per node, in post-order, whose operands are
+    earlier slots; a ``K`` carries ``modal_depth`` of its body.  The bodies
+    of all announcements of one announced node object form one program, run
+    on the updated model; each such announcement carries the announced node,
+    that program and its body's slot there.  ``top_agent`` is the largest
+    agent index named anywhere, or -1."""
+    order, slot, stack = [], {}, roots[::-1]
+    bodies: dict[int, list[Formula]] = {}   # by announced node
+    while stack:
+        g = stack[-1]
+        cls = g.__class__
+        todo = [h for h in ((g.left, g.right) if cls is And
+                            else (g.announced,) if cls is Announce
+                            else (g.sub,) if cls in (Not, Know, KnowInf)
+                            else ()) if id(h) not in slot]
+        if todo:
+            stack += reversed(todo)
+        elif id(stack.pop()) not in slot:
+            slot[id(g)] = len(order)
+            order.append(g)
+            if cls is Announce:
+                bodies.setdefault(id(g.announced), []).append(g.sub)
+    groups = {key: _compile(subs) for key, subs in bodies.items()}
+    top = max((prog[1] for prog, _ in groups.values()), default=-1)
+    code = []
+    for g in order:
+        cls = g.__class__
+        if cls is And:
+            code.append((_AND, slot[id(g.left)], slot[id(g.right)], None))
+        elif cls is Not:
+            code.append((_NOT, slot[id(g.sub)], None, None))
+        elif cls is Atom:
+            code.append((_ATOM, g.name, g.name == TRUE_ATOM, None))
+        elif cls is Announce:
+            (body, _), body_slot = groups[id(g.announced)]
+            code.append((_ANNOUNCE, slot[id(g.announced)],
+                         (g.announced, body), body_slot[id(g.sub)]))
+        elif cls in (DepthAtLeast, DepthExact):
+            code.append((_DEPTH, g.agent, g.d, cls is DepthExact))
+        elif cls in (Know, KnowInf):
+            code.append((_KNOW, g.agent, slot[id(g.sub)],
+                         modal_depth(g.sub) if cls is Know else None))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        top = max(top, getattr(g, "agent", -1))
+    return (tuple(code), top), slot
+
+
 @dataclass
 class Labeling:
     """Truth of each labeled subformula, as a bitmask per label.
 
-    Ids are handed out in preorder, one per label computed: one per
-    (model, node object) for inner nodes, which are labeled once per model
-    however often they occur, and one per visit for leaves, which read the
-    model's cached masks.  Each announcement body is labeled on the updated
-    model.  Bit i of ``masks[nid]`` stands for ``states[nid][i]``, the i-th
-    state of the model that label was computed on.  ``table`` shows the same
-    labels as ``{nid: {state: bool}}``, building each row when it is
+    ``runs`` keeps the states and slots of each program run: first the
+    formula's on ``model``, whose last slot is ``root_mask``, then one per
+    (model, announced node object) for the bodies on the updated model.
+    Ids number the slots run by run, in post-order within a run, so each
+    node object, leaves included, has one id per model it is labeled on.
+    Bit i of ``masks[nid]`` stands for ``states[nid][i]``.  ``masks``,
+    ``states`` and ``table`` (``{nid: {state: bool}}``) are built when
     read."""
 
     model: Model
-    root: int = 0
-    masks: dict[int, int] = field(default_factory=dict)
-    states: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    root_mask: int
+    runs: list[tuple[tuple[str, ...], list[int]]]
+
+    @property
+    def root(self) -> int:
+        return len(self.runs[0][1]) - 1
+
+    @cached_property
+    def masks(self) -> dict[int, int]:
+        return dict(enumerate(chain.from_iterable(s for _, s in self.runs)))
+
+    @cached_property
+    def states(self) -> dict[int, tuple[str, ...]]:
+        return dict(enumerate(chain.from_iterable(
+            repeat(states, len(slots)) for states, slots in self.runs)))
 
     @property
     def table(self) -> Mapping[int, dict[str, bool]]:
         return _Rows(self)
 
     def truth(self, state: str) -> bool:
-        return bool(self.masks[self.root] >> self.model.state_index(state) & 1)
+        return bool(self.root_mask >> self.model.state_index(state) & 1)
 
 
 class _Rows(Mapping):
@@ -284,81 +350,65 @@ def _known(model: Model, agent: int, sub: int) -> int:
     return mask_of(t & sub == t for t in model.successor_masks(agent))
 
 
+def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
+         updates: dict, runs: list) -> list[int]:
+    """Run a program on model; returns the slots, also added to ``runs``.
+    ``updates`` maps (model id, announced node id) to the updated model, its
+    run's slots and the update's image, for ``[phi]psi`` to read psi."""
+    n = len(model.states)
+    full = (1 << n) - 1
+    slots: list[int] = []
+    runs.append((model.states, slots))
+    put = slots.append
+    for op, a, b, c in code:
+        if op == _AND:
+            put(slots[a] & slots[b])
+        elif op == _NOT:
+            put(slots[a] ^ full)
+        elif op == _ATOM:
+            put(full if b else model.atom_mask(a))
+        elif op == _ANNOUNCE:
+            if kind is SemanticsKind.DBEL:
+                raise FragmentError(_NO_DBEL_ANNOUNCE)
+            pre = slots[a]
+            announced, body = b
+            key = (id(model), id(announced))
+            done = updates.get(key)
+            if done is None:
+                upd = update(model, announced, kind, pre)
+                done = updates[key] = (
+                    upd, _run(upd, body, kind, updates, runs),
+                    update_image(kind, pre, n))
+            upd, upd_slots, image = done
+            # psi at each state's image; a dropped state (None) reads False
+            sub = dict(enumerate(flags_of(upd_slots[c], len(upd.states))))
+            put((pre ^ full) | mask_of(map(sub.get, image, repeat(False))))
+        elif op == _DEPTH:   # P[a,b], or E[a,b] if c
+            mask = model.depth_mask(a, b)
+            put(mask ^ model.depth_mask(a, b + 1) if c else mask)
+        else:   # K[a], gated at depth c, or Kinf[a] if c is None
+            mask = _known(model, a, slots[b])
+            put(mask if c is None else mask & model.depth_mask(a, c))
+    return slots
+
+
 def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
-    """Label f's subformulas bottom-up, each shared one once per model.
+    """Label f's subformulas bottom-up, each node object once per model.
 
-    Formulas such as ``iff`` and the axiom instances reuse one node object
-    in several places, and an announcement node may recur over one model.
-    Two memos, both keyed by object identity and both dropped on return,
-    make that work happen once per call: each model's dict maps a node's id
-    to its mask, and ``updates`` maps (model id, announced node id) to the
-    updated model, its own dict and the update's image, through which
-    ``[phi]psi`` reads psi's label in time linear in the models' sizes.
-    Leaves read the model's cached masks and skip the memo.  No id is reused
-    while the call runs, since every keyed object stays alive: each node is
-    reachable from f, and each keyed model is m or an updated model that
-    ``updates`` itself holds."""
+    f keeps its compiled program for later checks on any model.  Within a
+    call each (model, announced node object) update runs once; its memo is
+    keyed by ids, unique while it lives (the program holds every node, the
+    memo every updated model), and is dropped on return with the labels."""
+    prog = f._program
+    if prog is None:
+        prog = _compile([f])[0]
+        object.__setattr__(f, "_program", prog)
+    if prog[1] >= m.agents:
+        raise ModelError(f"formula names unknown agent {prog[1]}")
     _require_mode(m, kind)
-    counter = itertools.count()
-    out = Labeling(m)
-    masks, states = out.masks, out.states
-    updates: dict[tuple[int, int], tuple[Model, dict, list]] = {}
-
-    def label(model: Model, g: Formula, memo: dict[int, int]) -> int:
-        cls = g.__class__
-        if cls is Atom:
-            res = ((1 << len(model.states)) - 1 if g.name == TRUE_ATOM
-                   else model.atom_mask(g.name))
-        elif cls is DepthAtLeast:
-            res = model.depth_mask(g.agent, g.d)
-        elif cls is DepthExact:
-            res = (model.depth_mask(g.agent, g.d)
-                   ^ model.depth_mask(g.agent, g.d + 1))
-        else:
-            res = memo.get(id(g))
-            if res is not None:
-                return res
-            nid = next(counter)
-            if cls is Not:
-                res = (label(model, g.sub, memo)
-                       ^ ((1 << len(model.states)) - 1))
-            elif cls is And:
-                res = label(model, g.left, memo) & label(model, g.right, memo)
-            elif cls is KnowInf:
-                res = _known(model, g.agent, label(model, g.sub, memo))
-            elif cls is Know:
-                res = (_known(model, g.agent, label(model, g.sub, memo))
-                       & model.depth_mask(g.agent, modal_depth(g.sub)))
-            elif cls is Announce:
-                if kind is SemanticsKind.DBEL:
-                    raise FragmentError(_NO_DBEL_ANNOUNCE)
-                n = len(model.states)
-                pre = label(model, g.announced, memo)
-                key = (id(model), id(g.announced))
-                done = updates.get(key)
-                if done is None:
-                    done = updates[key] = (
-                        update(model, g.announced, kind, pre), {},
-                        update_image(kind, pre, n))
-                upd, upd_memo, image = done
-                # psi at each state's image; a dropped state (None) reads False
-                sub = dict(enumerate(flags_of(label(upd, g.sub, upd_memo),
-                                              len(upd.states))))
-                res = ((pre ^ ((1 << n) - 1))
-                       | mask_of(map(sub.get, image, repeat(False))))
-            else:
-                raise TypeError(f"not a formula: {g!r}")
-            memo[id(g)] = masks[nid] = res
-            states[nid] = model.states
-            return res
-        nid = next(counter)
-        masks[nid] = res
-        states[nid] = model.states
-        return res
-
-    label(m, f, {})
-    del label   # frees the tables now, not at the next cyclic collection
-    return out
+    runs: list[tuple[tuple[str, ...], list[int]]] = []
+    root_mask = _run(m, prog[0], kind, {}, runs)[-1]
+    return Labeling(m, root_mask, runs)
 
 
 def check(m: Model, state: str, f: Formula, kind: SemanticsKind) -> bool:
@@ -371,8 +421,7 @@ def check(m: Model, state: str, f: Formula, kind: SemanticsKind) -> bool:
 def holds_everywhere(m: Model, f: Formula, kind: SemanticsKind
                      ) -> tuple[bool, str | None]:
     """Validity of f on the model; returns (ok, first falsifying state)."""
-    lab = check_labeling(m, f, kind)
-    missed = lab.masks[lab.root] ^ ((1 << len(m.states)) - 1)
+    missed = check_labeling(m, f, kind).root_mask ^ ((1 << len(m.states)) - 1)
     if not missed:
         return True, None
     return False, m.states[(missed & -missed).bit_length() - 1]

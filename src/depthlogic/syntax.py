@@ -23,6 +23,7 @@ class Formula:
     """Base class for formula nodes. Instances are immutable values."""
 
     __slots__ = ()
+    _program = None   # check_labeling's, set on first use; not a field
 
     def __str__(self) -> str:
         return to_text(self)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 
 from depthlogic import dot, semantics
-from depthlogic.model import (REFLEXIVE, Model, canonical_json, load_model,
-                              mask_of, model_size, save_model, validate)
+from depthlogic.model import (REFLEXIVE, Model, ModelError, canonical_json,
+                              load_model, mask_of, model_size, save_model,
+                              validate)
 from depthlogic.muddy import (
     amnesia_formula,
     build_muddy,
@@ -50,6 +54,7 @@ from depthlogic.syntax import (
     implies,
     modal_depth,
     parse,
+    walk,
 )
 
 ALL_KINDS = (SemanticsKind.DPAL, SemanticsKind.EDPAL, SemanticsKind.ADPAL)
@@ -260,7 +265,7 @@ class TestUpdateImage:
             phi = random_formula(rng, spec, announce=True, kinf=True)
             pre = mask_of(check_naive(m, s, phi, kind) for s in m.states)
             upd = update(m, phi, kind, pre)
-            # pre=None computes the same mask with check_naive
+            # pre=None computes the same mask with check_labeling
             assert canonical_json(update(m, phi, kind)) == canonical_json(upd)
             image = update_image(kind, pre, len(m.states))
             assert len(image) == len(m.states)
@@ -426,6 +431,111 @@ def _agrees_with_naive(m, f, kind):
     row = lab.table[lab.root]
     assert row == {s: check_naive(m, s, f, kind) for s in m.states}
     return lab
+
+
+class TestProgram:
+    """``check_labeling`` compiles a formula object on its first check and
+    keeps the program on it; labels and updates stay per call."""
+
+    def test_compiled_once_per_formula_object(self, monkeypatch):
+        compiled = []
+        real = semantics._compile
+
+        def counted(roots):
+            compiled.append(roots)
+            return real(roots)
+
+        monkeypatch.setattr(semantics, "_compile", counted)
+        f = iff(phi_k(3), Announce(parse("m0 | m1"), phi_k(3)))
+        m3 = build_muddy(3, 3, canonical_depths(3)).model
+        check_labeling(m3, f, SemanticsKind.DPAL)
+        assert compiled[0] == [f]
+        program = f._program
+        compiled.clear()
+        m4 = build_muddy(4, 4, canonical_depths(4)).model
+        for kind in ALL_KINDS:
+            for m in (m3, m4):
+                _agrees_with_naive(m, f, kind)
+                holds_everywhere(m, f, kind)
+                check(m, m.states[-1], f, kind)
+        assert compiled == []
+        assert f._program is program
+
+    def test_equality_hash_and_repr_ignore_the_program(self):
+        text = "[m0 | m1] K[0] m0 <-> E[1,2]"
+        f, g = parse(text), parse(text)
+        before = hash(f), repr(f)
+        m = build_muddy(3, 3, canonical_depths(3)).model
+        check_labeling(m, f, SemanticsKind.DPAL)
+        assert f._program is not None and g._program is None
+        assert f == g
+        assert hash(f) == hash(g) == before[0]
+        assert repr(f) == repr(g) == before[1]
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
+    def test_copied_program_agrees_with_naive(self, duplicate):
+        m = build_muddy(4, 4, canonical_depths(4)).model
+        f = iff(phi_k(4), Announce(parse("m0 | m1"), phi_k(4)))
+        check_labeling(m, f, SemanticsKind.DPAL)
+        g = duplicate(f)
+        assert g == f and g is not f and g._program is not None
+        # the copy's program refers to the copy's own nodes
+        nodes = {id(h) for h in walk(g)}
+        code, _ = g._program
+        announced = [b[0] for op, _, b, _ in code
+                     if op == semantics._ANNOUNCE]
+        assert announced and all(id(a) in nodes for a in announced)
+        for kind in ALL_KINDS:
+            _agrees_with_naive(m, g, kind)
+
+    def test_dbel_announcement_still_refused(self):
+        m = build_muddy(3, 3, canonical_depths(3)).model
+        f = parse("m0 & [m1] K[0] m0")
+        with pytest.raises(FragmentError):
+            check_labeling(m, f, SemanticsKind.DBEL)
+        check_labeling(m, f, SemanticsKind.DPAL)
+        with pytest.raises(FragmentError):
+            check(m, "111", f, SemanticsKind.DBEL)
+
+    @pytest.mark.parametrize("text,agent", [
+        ("K[5] m0", 5), ("P[5,1]", 5), ("E[7,0]", 7),
+        ("!Kinf[3] m0 & K[1] m1", 3), ("m0 & [m1] (K[4] m2 | P[3,0])", 4),
+    ])
+    def test_unknown_agent_refused_before_any_work(self, text, agent,
+                                                   monkeypatch):
+        calls = _counting_update(monkeypatch)
+        m = build_muddy(3, 3, canonical_depths(3)).model
+        f = parse(text)
+        message = f"^formula names unknown agent {agent}$"
+        for kind in ALL_KINDS:
+            with pytest.raises(ModelError, match=message):
+                check(m, "111", f, kind)
+            with pytest.raises(ModelError, match=message):
+                holds_everywhere(m, f, kind)
+            with pytest.raises(ModelError, match=message):
+                update(m, f, kind)
+        with pytest.raises(ModelError, match=message):
+            check_labeling(m, f, SemanticsKind.DBEL)
+        assert calls == []   # no announcement was reached
+
+
+def test_checks_leave_no_reference_cycles():
+    m = build_muddy(5, 5, canonical_depths(5)).model
+    formulas = [phi_k(5), implies(upper_bound_hypothesis(5), phi_k(5)),
+                iff(phi_k(4), Announce(parse("m0 | m1"), phi_k(4))),
+                amnesia_formula(), leakage_formula()]
+    gc.collect()
+    gc.disable()
+    try:
+        for kind in ALL_KINDS:
+            for f in formulas:
+                check(m, "11111", f, kind)
+                holds_everywhere(m, f, kind)
+                check_labeling(m, f, kind)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestLabelingMasks:
