@@ -29,11 +29,11 @@ def _escaped(text: str) -> str:
 
 def _node_lines(m: Model, prefix: str, designated: str | None) -> list[str]:
     lines = []
-    for s in m.states:
+    for s, atoms, depths in zip(m.states, m.valuation(),
+                                zip(*map(m.depths, range(m.agents)))):
         name = _escaped(s)
-        atoms = _escaped(",".join(sorted(m.atoms(s))))
-        depths = " ".join(str(m.depth(a, s)) for a in range(m.agents))
-        label = f"{name}\\n{{{atoms}}}\\nd: {depths}"
+        atoms = _escaped(",".join(sorted(atoms)))
+        label = f"{name}\\n{{{atoms}}}\\nd: {' '.join(map(str, depths))}"
         style = ' style=filled fillcolor=lightyellow' if s == designated else ""
         lines.append(f'    "{prefix}{name}" [label="{label}"{style}];')
     return lines
@@ -77,7 +77,7 @@ def announcement_steps(m: Model, announcements: list[Formula],
     for phi in announcements:
         pre = check_labeling(cur, phi, kind).root_mask
         if here is not None:
-            here = update_image(kind, pre, len(cur.states))[here]
+            here = update_image(kind, pre, cur.n)[here]
         cur = update(cur, phi, kind, pre)
         steps.append((cur, None if here is None else cur.states[here]))
     return steps

@@ -16,15 +16,16 @@ Files are written by one streaming writer: ``save_model`` writes, and
 byte for byte as ``json.dumps(to_dict(m), sort_keys=True, indent=2)`` plus a
 newline lays it out, without building ``to_dict`` or the whole text.
 
-Depths are stored by state index too: one tuple per agent, in state order,
-so ``depth(a, s)`` is an index lookup and ``depths(a)`` hands out the tuple
-itself.  Updates build these tuples directly from their input's.
+Depths and atoms are stored by state index too: one tuple per agent, and
+one of atom sets, in state order (``depths(a)``, ``valuation()``); ``n`` is
+the state count.  Updates build these tuples directly from their input's.
 
 Input is validated once, at the boundary: ``Model(...)``, ``model_from_dict``
 and ``Model.restrict`` check everything they are given.  The models the
 checker derives from valid ones (the DPAL, EDPAL and ADPAL updates and the
 ``sat`` candidates) are trusted: ``Model._derived`` sets their columns as
-given and re-checks none of them.
+given and re-checks none of them.  Their name index, and a DPAL product's
+names and per-agent columns (from its parent's), are built on first read.
 
 For the labeling checker a model also offers sets of states as ``int``
 bitmasks, bit i standing for ``states[i]``: per atom, per (agent, depth
@@ -66,8 +67,8 @@ class Model:
     state order.
     """
 
-    __slots__ = ("agents", "states", "mode", "_val", "_rel", "_ids",
-                 "_depth", "_index", "_succ", "_classes", "_masks")
+    __slots__ = ("agents", "n", "mode", "_states", "_val", "_rel", "_ids",
+                 "_depth", "_index", "_succ", "_classes", "_masks", "_source")
 
     def __init__(self,
                  agents: int,
@@ -94,7 +95,7 @@ class Model:
         if not val.keys() <= index.keys():
             unknown = min(val.keys() - index.keys())
             raise ModelError(f"valuation for unknown state {unknown!r}")
-        vmap = {s: frozenset(val.get(s, ())) for s in states}
+        vmap = tuple([frozenset(val.get(s, ())) for s in states])
         ids: dict[int, tuple[int, ...]] = {}
         succ: dict[int, dict[str, frozenset[str]]] = {}
         if mode == EQUIVALENCE:
@@ -129,28 +130,30 @@ class Model:
                    mode, ids, succ, index)
 
     @classmethod
-    def _derived(cls, agents: int, states: tuple[str, ...],
-                 val: dict[str, frozenset[str]],
+    def _derived(cls, agents: int, states: tuple[str, ...] | None,
+                 val: tuple[frozenset[str], ...],
                  depth: dict[int, tuple[int, ...]], mode: str, *,
                  ids: dict[int, tuple[int, ...]] | None = None,
-                 succ: dict[int, dict[str, frozenset[str]]] | None = None
-                 ) -> Model:
+                 succ: dict[int, dict[str, frozenset[str]]] | None = None,
+                 index: dict[str, int] | None = None, source=None) -> Model:
         """A model from columns its caller guarantees, none of them checked:
         ``states`` distinct names; ``val`` each state's atoms as a frozenset,
         in state order; ``depth`` a tuple of ints per agent; in equivalence
         mode ``ids``, first-index class ids (see ``class_ids``) for every
         agent, and in reflexive mode ``succ``, each state's successors as a
-        frozenset with itself included, for every agent."""
+        frozenset with itself included, for every agent.  Optional: the name
+        ``index``; a ``source`` building None ``states`` and absent agents."""
         m = cls.__new__(cls)
         m._fill(agents, states, val, depth, mode, ids or {}, succ or {},
-                dict(zip(states, count())))
+                index, source)
         return m
 
     def _fill(self, agents, states, val, depth, mode, ids, succ,
-              index) -> None:
+              index, source=None) -> None:
         self.agents = agents
-        self.states = states
+        self.n = len(val)
         self.mode = mode
+        self._states = states
         self._val = val
         self._rel: dict[int, frozenset[Pair]] = {}
         self._ids = ids
@@ -159,17 +162,46 @@ class Model:
         self._succ = succ
         self._classes: dict[int, tuple[frozenset[str], ...]] = {}
         self._masks: dict[tuple, int | tuple[int, ...]] = {}
+        self._source = source
 
     # -- accessors --
 
+    @property
+    def states(self) -> tuple[str, ...]:
+        if self._states is None:
+            self._states = self._source.states()
+            if len(self._depth) == self.agents:   # all built: drop the source
+                self._source = None
+        return self._states
+
+    def _names(self) -> dict[str, int]:
+        if self._index is None:   # the state-name index
+            self._index = dict(zip(self.states, count()))
+        return self._index
+
+    def _miss(self, agent: int) -> None:
+        """Refuses an unknown agent, or builds its columns from the source."""
+        if not 0 <= agent < self.agents:
+            raise ModelError(f"unknown agent {agent}")
+        if self._source is not None:
+            self._ids[agent], self._depth[agent] = self._source.columns(agent)
+            if self._states is not None and len(self._depth) == self.agents:
+                self._source = None   # all built: drop it, and the parent
+
     def atoms(self, state: str) -> frozenset[str]:
-        return self._val[state]
+        return self._val[self._names()[state]]
+
+    def valuation(self) -> tuple[frozenset[str], ...]:
+        """Each state's atoms, in state order."""
+        return self._val
 
     def depth(self, agent: int, state: str) -> int:
-        return self._depth[agent][self._index[state]]
+        return self.depths(agent)[self._names()[state]]
 
     def depths(self, agent: int) -> tuple[int, ...]:
         """The agent's depth at each state, in state order."""
+        if agent not in self._depth:
+            self._miss(agent)
         return self._depth[agent]
 
     def pairs(self, agent: int) -> frozenset[Pair]:
@@ -182,21 +214,22 @@ class Model:
         return pairs
 
     def has_state(self, state: str) -> bool:
-        return state in self._index
+        return state in self._names()
 
     def state_index(self, state: str) -> int:
-        return self._index[state]
+        return self._names()[state]
 
     def class_ids(self, agent: int) -> tuple[int, ...]:
         """Per state index, the index of the first state of its class (see
         ``classes``)."""
-        ids = self._ids.get(agent)
-        if ids is None:   # reflexive mode: components of the successor sets
-            index = self._index.__getitem__
-            ids = self._ids[agent] = _components(len(self.states), (
+        if agent not in self._ids:
+            self._miss(agent)
+        if agent not in self._ids:   # reflexive mode: successor components
+            index = self._names().__getitem__
+            self._ids[agent] = _components(self.n, (
                 (index(s), index(t)) for s in self.states
                 for t in self.successors(agent, s)))
-        return ids
+        return self._ids[agent]
 
     def successors(self, agent: int, state: str) -> frozenset[str]:
         """States the agent considers possible at ``state`` (includes itself):
@@ -228,7 +261,7 @@ class Model:
         mask = self._masks.get(key)
         if mask is None:
             mask = self._masks[key] = mask_of(map(
-                frozenset.__contains__, self._val.values(), repeat(atom)))
+                frozenset.__contains__, self._val, repeat(atom)))
         return mask
 
     def depth_mask(self, agent: int, d: int) -> int:
@@ -237,7 +270,7 @@ class Model:
         mask = self._masks.get(key)
         if mask is None:
             mask = self._masks[key] = mask_of(
-                map(d.__le__, self._depth[agent]))
+                map(d.__le__, self.depths(agent)))
         return mask
 
     def successor_masks(self, agent: int) -> tuple[int, ...]:
@@ -247,7 +280,7 @@ class Model:
         masks = self._masks.get(key)
         if masks is None:
             bit = (1).__lshift__
-            index = self._index.__getitem__
+            index = self._names().__getitem__
             masks = self._masks[key] = tuple(
                 sum(map(bit, map(index, self.successors(agent, s))))
                 for s in self.states)
@@ -261,7 +294,7 @@ class Model:
         order (default: these).  A repeated or out-of-range index (negative
         ones too) is refused, and so is a depth for an unknown agent or of the
         wrong length."""
-        n = len(self.states)
+        n = self.n
         keep = range(n) if keep is None else list(keep)
         kept = set(keep)
         outside = kept.difference(range(n))
@@ -283,7 +316,7 @@ class Model:
         if depth is None:
             depth = {a: tuple(map(da.__getitem__, keep))
                      for a, da in self._depth.items()}
-        val = dict(zip(states, map(self._val.__getitem__, states)))
+        val = tuple(map(self._val.__getitem__, keep))
         if self.mode == EQUIVALENCE:
             ids = {a: _first_index_ids(
                        map(self.class_ids(a).__getitem__, keep))
@@ -297,7 +330,7 @@ class Model:
                               succ=succ)
 
     def __repr__(self) -> str:
-        return (f"Model(agents={self.agents}, states={len(self.states)}, "
+        return (f"Model(agents={self.agents}, states={self.n}, "
                 f"mode={self.mode!r})")
 
 
@@ -468,7 +501,7 @@ def to_dict(m: Model) -> dict:
         "agents": m.agents,
         "mode": m.mode,
         "states": list(states),
-        "val": {s: sorted(m.atoms(s)) for s in states},
+        "val": {s: sorted(atoms) for s, atoms in zip(states, m.valuation())},
         "rel": {str(a): [[states[i], states[j]]
                          for i, js in enumerate(pair_walk(m, a)) for j in js]
                 for a in range(m.agents)},
@@ -507,12 +540,12 @@ def _json_chunks(m: Model) -> Iterator[str]:
                 sep = ","
         yield "[]" if sep == "[" else "\n    ]"
     yield '\n  },\n  "states": ' + _block(quoted, 2, "[]")
+    vals = m.valuation()
     atoms_text = {   # each distinct atom set quoted once
         atoms: _block(list(map(encode_basestring_ascii, sorted(atoms))), 4,
                       "[]")
-        for atoms in set(map(m.atoms, states))}
-    val = [key + atoms_text[m.atoms(states[i])]
-           for key, i in zip(keys, by_name)]
+        for atoms in set(vals)}
+    val = [key + atoms_text[vals[i]] for key, i in zip(keys, by_name)]
     yield ',\n  "val": ' + _block(val, 2, "{}") + "\n}\n"
 
 

@@ -257,7 +257,7 @@ def reduction_decide(inst: ThreeSatInstance) -> bool:
         final, s = announcement_steps(m, chain, SemanticsKind.DPAL, "s")[-1]
         table = _FINAL_CACHE[n] = (final, final.state_index(s), {})
     final, index, masks = table
-    phi = full = (1 << len(final.states)) - 1
+    phi = full = (1 << final.n) - 1
     for cl in inst.clauses:
         key = tuple(sorted(cl))
         mask = masks.get(key)

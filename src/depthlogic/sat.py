@@ -242,9 +242,10 @@ def enumerate_models(f: Formula, max_states: int, max_depth: int,
             f"bounds exceeded: ~{total} candidate models (limit {limit})")
     for n in range(1, max_states + 1):
         states = tuple(f"s{i}" for i in range(n))
+        index = dict(zip(states, range(n)))
         partitions = list(map(_first_index_ids, _set_partitions(n)))
-        valuations = [dict(zip(states, vals)) for vals in itertools.product(
-            *([[frozenset(c) for c in _subsets(atoms)]] * n))]
+        valuations = list(itertools.product(
+            *([[frozenset(c) for c in _subsets(atoms)]] * n)))
         depths = [{a: dv[a * n:(a + 1) * n] for a in range(n_agents)}
                   for dv in itertools.product(range(max_depth + 1),
                                               repeat=n * n_agents)]
@@ -254,7 +255,7 @@ def enumerate_models(f: Formula, max_states: int, max_depth: int,
             for val in valuations:
                 for depth in depths:
                     m = Model._derived(n_agents, states, val, depth,
-                                       EQUIVALENCE, ids=class_ids)
+                                       EQUIVALENCE, ids=class_ids, index=index)
                     yield PointedModel(m, states[0])
 
 

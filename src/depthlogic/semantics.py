@@ -23,11 +23,12 @@ from enum import Enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, repeat
+from typing import NamedTuple
 
 from .model import (EQUIVALENCE, REFLEXIVE, Model, ModelError, bits_of,
                     flags_of, mask_of)
 from .syntax import (And, Announce, Atom, DepthAtLeast, DepthExact, Formula,
-                     Know, KnowInf, Not, TRUE_ATOM, modal_depth, walk)
+                     Know, KnowInf, Not, TRUE_ATOM, modal_depth)
 
 
 class SemanticsKind(Enum):
@@ -55,17 +56,13 @@ def _require_mode(m: Model, kind: SemanticsKind) -> None:
         raise ModeError(f"{kind.value} requires an equivalence-mode model")
 
 
-def _require(m: Model, f: Formula, kind: SemanticsKind) -> None:
-    if kind is SemanticsKind.DBEL and any(
-            isinstance(g, Announce) for g in walk(f)):
-        raise FragmentError(_NO_DBEL_ANNOUNCE)
-    _require_mode(m, kind)
-
-
 # -- naive recursive checker (oracle) --
 
 def check_naive(m: Model, state: str, f: Formula, kind: SemanticsKind) -> bool:
-    _require(m, f, kind)
+    code, _ = _program(m, f)
+    if kind is SemanticsKind.DBEL and any(op == _ANNOUNCE for op, *_ in code):
+        raise FragmentError(_NO_DBEL_ANNOUNCE)
+    _require_mode(m, kind)
     return _nv(m, state, f, kind)
 
 
@@ -91,7 +88,7 @@ def _nv(m: Model, s: str, f: Formula, kind: SemanticsKind) -> bool:
             return True
         pre = mask_of(_nv(m, t, f.announced, kind) for t in m.states)
         upd = update(m, f.announced, kind, pre)
-        image = update_image(kind, pre, len(m.states))
+        image = update_image(kind, pre, m.n)
         return _nv(upd, upd.states[image[m.state_index(s)]], f.sub, kind)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -130,13 +127,10 @@ def update_image(kind: SemanticsKind, pre: int, n: int) -> list[int | None]:
     return image
 
 
-def _flags(m: Model, announced: Formula, kind: SemanticsKind,
-           pre: int | None) -> list[bool]:
-    """Per state of m, whether the announcement holds there (``pre``, or
-    the labeling's root mask when None)."""
-    if pre is None:
-        pre = check_labeling(m, announced, kind).root_mask
-    return list(flags_of(pre, len(m.states)))
+def _pre(m: Model, announced: Formula, kind: SemanticsKind,
+         pre: int | None) -> int:
+    """``pre``, or when None the labeling's mask of the announcement."""
+    return check_labeling(m, announced, kind).root_mask if pre is None else pre
 
 
 _COPY_PREFIX = ("0.", "1.")
@@ -156,32 +150,39 @@ def update_dpal(m: Model, announced: Formula, pre: int | None = None
     the announcement at one of the class's announcement states."""
     if m.mode != EQUIVALENCE:
         raise ModeError("DPAL update requires an equivalence-mode model")
-    flags = _flags(m, announced, SemanticsKind.DPAL, pre)
-    dphi = modal_depth(announced)
-    n = len(m.states)   # the 1. copies follow the n 0. copies
-    neg, pos = _COPY_PREFIX
-    states = (tuple(map(neg.__add__, m.states))
-              + tuple(map(pos.__add__, compress(m.states, flags))))
-    atoms = list(map(m.atoms, m.states))
-    val = dict(zip(states, atoms + list(compress(atoms, flags))))
-    depth = {}
-    class_ids = {}
-    for a in range(m.agents):
-        ids, da = m.class_ids(a), m.depths(a)
-        pos_ids = list(compress(ids, flags))
-        pos_da = list(compress(da, flags))
+    pre = _pre(m, announced, SemanticsKind.DPAL, pre)
+    val = m.valuation()   # the 1. copies follow the n 0. copies
+    return Model._derived(m.agents, None, val + tuple(map(
+        val.__getitem__, bits_of(pre))), {}, EQUIVALENCE,
+        source=_DpalProduct(m, pre, modal_depth(announced)))
+
+
+class _DpalProduct(NamedTuple):
+    """A DPAL product's parent, announcement mask and announcement depth."""
+    parent: Model
+    pre: int
+    dphi: int
+
+    def states(self) -> tuple[str, ...]:
+        names, (neg, pos) = self.parent.states, _COPY_PREFIX
+        return tuple(map(neg.__add__, names)) + tuple(map(
+            pos.__add__, map(names.__getitem__, bits_of(self.pre))))
+
+    def columns(self, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        parent, pre, dphi = self
+        ids, da = parent.class_ids(a), parent.depths(a)
+        pos_ids, pos_da = (list(map(c.__getitem__, bits_of(pre)))
+                           for c in (ids, da))
         # a class links its copies iff the agent is too shallow at one of its
         # announcement states; the 1. copies of the others form a class of
         # their own, whose first-index id is the state index of its first
         # 1. copy
         linked = list(compress(pos_ids, map(dphi.__gt__, pos_da)))
         first = dict(zip(linked, linked))
-        class_ids[a] = ids + tuple(map(first.setdefault, pos_ids, count(n)))
         # deep enough agents hear the announcement and lose its depth
         shifted = {d: d - dphi if d >= dphi else d for d in set(pos_da)}
-        depth[a] = da + tuple(map(shifted.__getitem__, pos_da))
-    return Model._derived(m.agents, states, val, depth, EQUIVALENCE,
-                          ids=class_ids)
+        return (ids + tuple(map(first.setdefault, pos_ids, count(parent.n))),
+                da + tuple(map(shifted.__getitem__, pos_da)))
 
 
 def update_edpal(m: Model, announced: Formula, pre: int | None = None
@@ -190,12 +191,12 @@ def update_edpal(m: Model, announced: Formula, pre: int | None = None
     unconditionally (possibly below zero)."""
     if m.mode != EQUIVALENCE:
         raise ModeError("EDPAL update requires an equivalence-mode model")
-    flags = _flags(m, announced, SemanticsKind.EDPAL, pre)
+    keep = list(bits_of(_pre(m, announced, SemanticsKind.EDPAL, pre)))
     dphi = modal_depth(announced)
-    depth = {a: tuple(map(operator.sub, compress(m.depths(a), flags),
+    depth = {a: tuple(map(operator.sub, map(m.depths(a).__getitem__, keep),
                           repeat(dphi)))
              for a in range(m.agents)}
-    return m._restrict(list(compress(range(len(flags)), flags)), depth)
+    return m._restrict(keep, depth)
 
 
 def update_adpal(m: Model, announced: Formula, pre: int | None = None
@@ -203,7 +204,7 @@ def update_adpal(m: Model, announced: Formula, pre: int | None = None
     """Asymmetric update: same states; an edge from s to a successor t is cut
     iff the agent is deep enough at s and exactly one endpoint satisfies the
     announcement; depths decrement only where the agent is deep enough."""
-    flags = _flags(m, announced, SemanticsKind.ADPAL, pre)
+    flags = list(flags_of(_pre(m, announced, SemanticsKind.ADPAL, pre), m.n))
     dphi = modal_depth(announced)
     yes = frozenset(compress(m.states, flags))
     succ: dict[int, dict[str, frozenset[str]]] = {}
@@ -219,8 +220,7 @@ def update_adpal(m: Model, announced: Formula, pre: int | None = None
             succ[a][s] = ts
             da.append(d)
         depth[a] = tuple(da)
-    val = dict(zip(m.states, map(m.atoms, m.states)))
-    return Model._derived(m.agents, m.states, val, depth, REFLEXIVE,
+    return Model._derived(m.agents, m.states, m.valuation(), depth, REFLEXIVE,
                           succ=succ)
 
 
@@ -285,7 +285,7 @@ def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
 class Labeling:
     """Truth of each labeled subformula, as a bitmask per label.
 
-    ``runs`` keeps the states and slots of each program run: first the
+    ``runs`` keeps the model and slots of each program run: first the
     formula's on ``model``, whose last slot is ``root_mask``, then one per
     (model, announced node object) for the bodies on the updated model.
     Ids number the slots run by run, in post-order within a run, so each
@@ -296,7 +296,7 @@ class Labeling:
 
     model: Model
     root_mask: int
-    runs: list[tuple[tuple[str, ...], list[int]]]
+    runs: list[tuple[Model, list[int]]]
 
     @property
     def root(self) -> int:
@@ -309,7 +309,7 @@ class Labeling:
     @cached_property
     def states(self) -> dict[int, tuple[str, ...]]:
         return dict(enumerate(chain.from_iterable(
-            repeat(states, len(slots)) for states, slots in self.runs)))
+            repeat(m.states, len(slots)) for m, slots in self.runs)))
 
     @property
     def table(self) -> Mapping[int, dict[str, bool]]:
@@ -342,7 +342,7 @@ def _known(model: Model, agent: int, sub: int) -> int:
         # all but the classes with a state outside sub; read from the class
         # ids, since one full-width mask per class would take memory
         # quadratic in the size of a DPAL product
-        n = len(model.states)
+        n = model.n
         full = (1 << n) - 1
         ids = model.class_ids(agent)
         leaving = set(compress(ids, flags_of(full ^ sub, n)))
@@ -355,10 +355,10 @@ def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
     """Run a program on model; returns the slots, also added to ``runs``.
     ``updates`` maps (model id, announced node id) to the updated model, its
     run's slots and the update's image, for ``[phi]psi`` to read psi."""
-    n = len(model.states)
+    n = model.n
     full = (1 << n) - 1
     slots: list[int] = []
-    runs.append((model.states, slots))
+    runs.append((model, slots))
     put = slots.append
     for op, a, b, c in code:
         if op == _AND:
@@ -381,7 +381,7 @@ def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
                     update_image(kind, pre, n))
             upd, upd_slots, image = done
             # psi at each state's image; a dropped state (None) reads False
-            sub = dict(enumerate(flags_of(upd_slots[c], len(upd.states))))
+            sub = dict(enumerate(flags_of(upd_slots[c], upd.n)))
             put((pre ^ full) | mask_of(map(sub.get, image, repeat(False))))
         elif op == _DEPTH:   # P[a,b], or E[a,b] if c
             mask = model.depth_mask(a, b)
@@ -392,6 +392,17 @@ def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
     return slots
 
 
+def _program(m: Model, f: Formula) -> tuple:
+    """f's compiled program (kept on f), once f names no agent m lacks."""
+    prog = f._program
+    if prog is None:
+        prog = _compile([f])[0]
+        object.__setattr__(f, "_program", prog)
+    if prog[1] >= m.agents:
+        raise ModelError(f"formula names unknown agent {prog[1]}")
+    return prog
+
+
 def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
     """Label f's subformulas bottom-up, each node object once per model.
 
@@ -399,14 +410,9 @@ def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
     call each (model, announced node object) update runs once; its memo is
     keyed by ids, unique while it lives (the program holds every node, the
     memo every updated model), and is dropped on return with the labels."""
-    prog = f._program
-    if prog is None:
-        prog = _compile([f])[0]
-        object.__setattr__(f, "_program", prog)
-    if prog[1] >= m.agents:
-        raise ModelError(f"formula names unknown agent {prog[1]}")
+    prog = _program(m, f)
     _require_mode(m, kind)
-    runs: list[tuple[tuple[str, ...], list[int]]] = []
+    runs: list[tuple[Model, list[int]]] = []
     root_mask = _run(m, prog[0], kind, {}, runs)[-1]
     return Labeling(m, root_mask, runs)
 
@@ -421,7 +427,7 @@ def check(m: Model, state: str, f: Formula, kind: SemanticsKind) -> bool:
 def holds_everywhere(m: Model, f: Formula, kind: SemanticsKind
                      ) -> tuple[bool, str | None]:
     """Validity of f on the model; returns (ok, first falsifying state)."""
-    missed = check_labeling(m, f, kind).root_mask ^ ((1 << len(m.states)) - 1)
+    missed = check_labeling(m, f, kind).root_mask ^ ((1 << m.n) - 1)
     if not missed:
         return True, None
     return False, m.states[(missed & -missed).bit_length() - 1]

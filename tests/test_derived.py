@@ -3,12 +3,15 @@ public constructor builds from its columns."""
 
 from __future__ import annotations
 
+import copy
+import gc
 import itertools
+import pickle
 import random
 
 import pytest
 
-from depthlogic.model import EQUIVALENCE, Model, canonical_json
+from depthlogic.model import EQUIVALENCE, Model, ModelError, canonical_json
 from depthlogic.muddy import build_muddy, canonical_depths, phi_k
 from depthlogic.props import RandomSpec, random_formula, random_model
 from depthlogic.sat import _set_partitions, _subsets, enumerate_models
@@ -164,3 +167,101 @@ def test_updates_skip_the_validating_paths(monkeypatch):
     monkeypatch.setattr(Model, "restrict", refuse)
     for upd in (update_dpal, update_edpal, update_adpal):
         assert upd(m, phi).states
+
+
+# -- DPAL products built on first read --
+
+def unread_phi_chain(k: int) -> list[Model]:
+    """M_k and the DPAL models after each announcement of phi_k, the derived
+    ones not read at all: each update takes its mask from a reference
+    chain."""
+    base = m = build_muddy(k, k, canonical_depths(k)).model
+    announced = [g.announced for g in walk(phi_k(k))
+                 if isinstance(g, Announce)]
+    pres = []
+    for phi in announced:
+        pres.append(check_labeling(m, phi, SemanticsKind.DPAL).root_mask)
+        m = update_dpal(m, phi, pres[-1])
+    chain = [base]
+    for phi, pre in zip(announced, pres):
+        chain.append(update_dpal(chain[-1], phi, pre))
+    return chain
+
+
+def masks(m: Model) -> list[int]:
+    """m's atom and depth masks and a few labels, read by index only."""
+    out = [m.atom_mask(f"m{i}") for i in range(m.agents)]
+    out += [m.depth_mask(a, d) for a in range(m.agents) for d in range(4)]
+    for a in range(m.agents):
+        for text in (f"K[{a}] m{a}", f"Kinf[{a}] !m{a}"):
+            out.append(check_labeling(m, parse(text),
+                                      SemanticsKind.DPAL).root_mask)
+    return out
+
+
+FIRST_READS = ([("names", lambda m: m.states),
+                ("index", lambda m: m.has_state(""))]
+               + [(f"{what}({a})", lambda m, a=a, what=what:
+                   getattr(m, what)(a))
+                  for a in range(5) for what in ("class_ids", "depths")])
+
+
+@pytest.mark.parametrize("read", [r for _, r in FIRST_READS],
+                         ids=[name for name, _ in FIRST_READS])
+def test_dpal_products_agree_whichever_is_read_first(read):
+    want = unread_phi_chain(5)
+    want_masks = [masks(m) for m in want]
+    want_json = list(map(canonical_json, want))
+    chain = unread_phi_chain(5)
+    for m in reversed(chain):   # the last product first: it reads up
+        read(m)
+    assert [masks(m) for m in chain] == want_masks
+    assert list(map(canonical_json, chain)) == want_json
+
+
+@pytest.mark.parametrize("clone", [
+    copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+    ids=["deepcopy", "pickle"])
+def test_unread_dpal_product_copies(clone):
+    last = unread_phi_chain(5)[-1]
+    copied = clone(last)
+    assert canonical_json(copied) == canonical_json(last)
+    assert copied.n == last.n == len(last.states)
+
+
+def holds_on_to(m: Model, other: Model) -> bool:
+    """Whether other is among m's referents or theirs."""
+    near = gc.get_referents(m)
+    return any(r is other for x in near + [m] for r in gc.get_referents(x))
+
+
+def test_fully_read_dpal_product_drops_its_parent():
+    chain = unread_phi_chain(4)
+    parent, m = chain[-2:]
+    assert holds_on_to(m, parent)
+    m.states
+    for a in range(m.agents - 1):
+        m.class_ids(a)
+    assert holds_on_to(m, parent)   # an agent's columns are still missing
+    m.depths(m.agents - 1)
+    assert not holds_on_to(m, parent)
+    assert canonical_json(m) == canonical_json(unread_phi_chain(4)[-1])
+
+
+# -- agents the model lacks --
+
+@pytest.mark.parametrize("agent", [5, -1])
+@pytest.mark.parametrize("which", ["base", "dpal", "reflexive"])
+def test_unknown_agent_refused_on_every_accessor(which, agent):
+    m = build_muddy(3, 3, canonical_depths(3)).model
+    if which == "dpal":
+        m = update_dpal(m, parse("!K[2] m2"))
+    elif which == "reflexive":
+        m = update_adpal(m, parse("!K[2] m2"))
+    state = m.states[0]
+    for read in (m.class_ids, m.depths, m.classes, m.pairs,
+                 m.successor_masks, lambda a: m.depth_mask(a, 0),
+                 lambda a: m.depth(a, state),
+                 lambda a: m.successors(a, state)):
+        with pytest.raises(ModelError, match=f"^unknown agent {agent}$"):
+            read(agent)

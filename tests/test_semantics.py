@@ -517,6 +517,9 @@ class TestProgram:
                 update(m, f, kind)
         with pytest.raises(ModelError, match=message):
             check_labeling(m, f, SemanticsKind.DBEL)
+        for kind in ALL_KINDS:   # the oracle refuses it the same way
+            with pytest.raises(ModelError, match=message):
+                check_naive(m, "111", f, kind)
         assert calls == []   # no announcement was reached
 
 
