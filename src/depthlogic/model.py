@@ -169,9 +169,7 @@ class Model:
     @property
     def states(self) -> tuple[str, ...]:
         if self._states is None:
-            self._states = self._source.states()
-            if len(self._depth) == self.agents:   # all built: drop the source
-                self._source = None
+            self._build()
         return self._states
 
     def _names(self) -> dict[str, int]:
@@ -179,14 +177,24 @@ class Model:
             self._index = dict(zip(self.states, count()))
         return self._index
 
-    def _miss(self, agent: int) -> None:
-        """Refuses an unknown agent, or builds its columns from the source."""
-        if not 0 <= agent < self.agents:
+    def _build(self, agent: int | None = None) -> None:
+        """Builds the names (``agent`` None) or a known agent's columns from
+        the source, oldest lacking parent first: a long announcement chain
+        builds in a loop.  A model with all built drops source and parent."""
+        if agent is not None and not 0 <= agent < self.agents:
             raise ModelError(f"unknown agent {agent}")
-        if self._source is not None:
-            self._ids[agent], self._depth[agent] = self._source.columns(agent)
-            if self._states is not None and len(self._depth) == self.agents:
-                self._source = None   # all built: drop it, and the parent
+        todo, m = [], self
+        while (m._states if agent is None else m._depth.get(agent)) is None:
+            assert m._source is not None, "a derived model lacks a column"
+            todo.append(m)
+            m = m._source.parent
+        for m in reversed(todo):
+            if agent is None:
+                m._states = m._source.states()
+            else:
+                m._ids[agent], m._depth[agent] = m._source.columns(agent)
+            if m._states is not None and len(m._depth) == m.agents:
+                m._source = None
 
     def atoms(self, state: str) -> frozenset[str]:
         return self._val[self._names()[state]]
@@ -201,7 +209,7 @@ class Model:
     def depths(self, agent: int) -> tuple[int, ...]:
         """The agent's depth at each state, in state order."""
         if agent not in self._depth:
-            self._miss(agent)
+            self._build(agent)
         return self._depth[agent]
 
     def pairs(self, agent: int) -> frozenset[Pair]:
@@ -223,7 +231,7 @@ class Model:
         """Per state index, the index of the first state of its class (see
         ``classes``)."""
         if agent not in self._ids:
-            self._miss(agent)
+            self._build(agent)
         if agent not in self._ids:   # reflexive mode: successor components
             index = self._names().__getitem__
             self._ids[agent] = _components(self.n, (
@@ -314,8 +322,8 @@ class Model:
         caller guarantees."""
         states = tuple(map(self.states.__getitem__, keep))
         if depth is None:
-            depth = {a: tuple(map(da.__getitem__, keep))
-                     for a, da in self._depth.items()}
+            depth = {a: tuple(map(self.depths(a).__getitem__, keep))
+                     for a in range(self.agents)}
         val = tuple(map(self._val.__getitem__, keep))
         if self.mode == EQUIVALENCE:
             ids = {a: _first_index_ids(

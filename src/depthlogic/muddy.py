@@ -255,6 +255,8 @@ def reduction_decide(inst: ThreeSatInstance) -> bool:
         m, f = reduce_3sat(ThreeSatInstance(n, ((1, 1, 1),)))
         chain = [g.announced for g in walk(f) if isinstance(g, Announce)]
         final, s = announcement_steps(m, chain, SemanticsKind.DPAL, "s")[-1]
+        for a in range(final.agents):   # all built, final drops its parents
+            final.class_ids(a)
         table = _FINAL_CACHE[n] = (final, final.state_index(s), {})
     final, index, masks = table
     phi = full = (1 << final.n) - 1

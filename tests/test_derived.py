@@ -15,8 +15,9 @@ from depthlogic.model import EQUIVALENCE, Model, ModelError, canonical_json
 from depthlogic.muddy import build_muddy, canonical_depths, phi_k
 from depthlogic.props import RandomSpec, random_formula, random_model
 from depthlogic.sat import _set_partitions, _subsets, enumerate_models
-from depthlogic.semantics import (SemanticsKind, check_labeling, update,
-                                  update_adpal, update_dpal, update_edpal)
+from depthlogic.semantics import (SemanticsKind, check, check_labeling,
+                                  update, update_adpal, update_dpal,
+                                  update_edpal)
 from depthlogic.syntax import (TRUE_ATOM, Announce, agents_of, atoms_of,
                                parse, walk)
 
@@ -105,9 +106,13 @@ def test_restrict_equals_validated(three_world_model):
     spec = RandomSpec(agents=2, max_states=5, max_depth=3)
     models = [random_model(rng, spec) for _ in range(40)]
     models.append(three_world_model)
+    # DPAL products unread, and read for one agent only
+    m3 = build_muddy(3, 3, canonical_depths(3)).model
+    models += [update_dpal(m3, parse("!K[2] m2")),
+               update_dpal(m3, parse("!K[2] m2"))]
+    models[-1].depths(1)
     for m in models:
-        keep = rng.sample(range(len(m.states)),
-                          rng.randint(1, len(m.states)))
+        keep = rng.sample(range(m.n), rng.randint(1, m.n))
         assert_same_as_validated(m.restrict(keep))
         depth = {a: [rng.randint(0, 3) for _ in keep]
                  for a in range(m.agents)}
@@ -246,6 +251,18 @@ def test_fully_read_dpal_product_drops_its_parent():
     m.depths(m.agents - 1)
     assert not holds_on_to(m, parent)
     assert canonical_json(m) == canonical_json(unread_phi_chain(4)[-1])
+
+
+def test_long_unread_chain_builds_without_recursing():
+    m = Model(2, ["s", "t"], {"s": ["p"]}, class_ids={0: [0, 0]})
+    chain = [m]
+    for _ in range(300):   # nowhere true: each product keeps two states
+        chain.append(update_dpal(chain[-1], parse("p & !p"), 0))
+    last = chain[-1]
+    assert last.depths(1) == (0, 0) and last.class_ids(0) == (0, 0)
+    assert last.states == ("0." * 300 + "s", "0." * 300 + "t")
+    assert check(m, "s", parse("[p & !p]" * 300 + "K[0] p"),
+                 SemanticsKind.DPAL)
 
 
 # -- agents the model lacks --
