@@ -24,9 +24,10 @@ from . import props
 from .model import (ModelError, canonical_json, load_model, model_size,
                     save_model, validate)
 from .sat import sat_bruteforce
-from .semantics import (FragmentError, ModeError, SemanticsKind, check,
-                        update)
-from .syntax import Announce, Formula, ParseError, parse, size, to_text, walk
+from .semantics import (FragmentError, ModeError, SemanticsKind,
+                        announcement_steps, check, update)
+from .syntax import (Formula, ParseError, announcement_chain, parse, size,
+                     to_text)
 
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
@@ -171,11 +172,8 @@ def cmd_muddy(args: argparse.Namespace) -> int:
     print(f"{to_text(f)}")
     print("true" if result else "false")
     if args.dot:
-        # their announcements form one chain (phi_k's for upper and lower)
-        announcements = [g.announced for g in walk(f)
-                         if isinstance(g, Announce)]
-        text = dotmod.sequence_to_dot(inst.model, announcements, kind,
-                                      state=inst.initial)
+        text = dotmod.sequence_to_dot(inst.model, announcement_chain(f),
+                                      kind, state=inst.initial)
         with open(args.dot, "w") as fh:
             fh.write(text)
     return 0
@@ -228,7 +226,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             t0 = time.perf_counter()
             check(m, "s", f, SemanticsKind.DPAL)
             dt = time.perf_counter() - t0
-            *_, final = muddymod.reduction_steps(inst)
+            final, _ = announcement_steps(m, announcement_chain(f),
+                                          SemanticsKind.DPAL)[-1]
             w.writerow(["3sat", n, size(f), model_size(m),
                         f"{dt:.6f}", model_size(final)])
     if out is not sys.stdout:

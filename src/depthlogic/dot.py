@@ -5,14 +5,12 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .model import EQUIVALENCE, Model, pair_walk
+from .semantics import _COPY_PREFIX as _COPIES   # DPAL copies' name prefixes
 # check_naive is unused here, but the traced benchmark wraps dot.check_naive
 # by name
-from .semantics import (SemanticsKind, check_labeling, check_naive, dpal_copy,
-                        update, update_image)
+from .semantics import SemanticsKind, announcement_steps, check_naive
 from .syntax import Formula, to_text
 
-# the name prefixes of a state's two DPAL copies
-_COPIES = (dpal_copy("", False), dpal_copy("", True))
 # Fixed palette, cycled per agent.
 _COLORS = ("black", "blue3", "red3", "darkgreen", "darkorange2",
            "purple3", "deeppink3", "gray40")
@@ -65,22 +63,6 @@ def model_to_dot(m: Model, designated: str | None = None,
     lines += [ln[2:] for ln in _edge_lines(m, "")]
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def announcement_steps(m: Model, announcements: list[Formula],
-                       kind: SemanticsKind,
-                       state: str | None = None
-                       ) -> list[tuple[Model, str | None]]:
-    """Models (and tracked designated state) after each successive update."""
-    steps: list[tuple[Model, str | None]] = [(m, state)]
-    cur, here = m, None if state is None else m.state_index(state)
-    for phi in announcements:
-        pre = check_labeling(cur, phi, kind).root_mask
-        if here is not None:
-            here = update_image(kind, pre, cur.n)[here]
-        cur = update(cur, phi, kind, pre)
-        steps.append((cur, None if here is None else cur.states[here]))
-    return steps
 
 
 def sequence_to_dot(m: Model, announcements: list[Formula],

@@ -30,7 +30,9 @@ names and per-agent columns (from its parent's), are built on first read.
 For the labeling checker a model also offers sets of states as ``int``
 bitmasks, bit i standing for ``states[i]``: per atom, per (agent, depth
 bound) and, in reflexive mode, per state's successors.  Each is built on
-first use and cached, since models are immutable.
+first use and cached, since models are immutable.  ``mask_of``,
+``flags_of`` and ``bits_of`` convert masks at C level, with no Python call
+per state, through a mask's bytes form: a 0/1 byte per state.
 """
 
 from __future__ import annotations
@@ -342,24 +344,29 @@ class Model:
                 f"mode={self.mode!r})")
 
 
+# bin()'s digits to the bytes form and back; ``compress`` reads the former
+_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def mask_of(flags: Iterable[bool]) -> int:
     """The bitmask whose bit i is the i-th flag."""
-    return int("".join(map("01".__getitem__, flags))[::-1] or "0", 2)
+    return int(bytes(flags).translate(_TO_DIGITS)[::-1] or b"0", 2)
+
+
+def _bytes_of(mask: int, n: int) -> bytes:
+    """Bits 0..n-1 of a bitmask below ``2**n`` in the bytes form."""
+    return bin(mask)[:1:-1].encode().translate(_TO_BYTES).ljust(n, b"\0")[:n]
 
 
 def flags_of(mask: int, n: int) -> Iterator[bool]:
-    """Bits 0..n-1 of a bitmask below ``2**n``, as flags (the inverse of
-    ``mask_of``)."""
-    return map("1".__eq__, bin(mask)[:1:-1].ljust(n, "0")[:n])
-
-
-# bin() digits as the bytes 0 and 1, so that ``compress`` reads them
-_BITS = bytes.maketrans(b"01", b"\0\1")
+    """Bits 0..n-1 of a mask below ``2**n`` as bools, inverting ``mask_of``."""
+    return map(bool, _bytes_of(mask, n))
 
 
 def bits_of(mask: int) -> Iterator[int]:
     """The indices of a bitmask's set bits, ascending."""
-    return compress(count(), bin(mask)[:1:-1].encode().translate(_BITS))
+    return compress(count(), _bytes_of(mask, mask.bit_length()))
 
 
 def _first_index_ids(column: Iterable[Hashable]) -> tuple[int, ...]:

@@ -7,14 +7,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .dot import announcement_steps
 from .model import EQUIVALENCE, Model
 # check_naive is unused here, but the traced benchmark wraps
 # muddy.check_naive by name
-from .semantics import (SemanticsKind, _known, check, check_labeling,
-                        check_naive, update)
+from .semantics import (SemanticsKind, _known, announcement_steps, check,
+                        check_labeling, check_naive)
 from .syntax import (And, Announce, Atom, DepthAtLeast, Formula, Know,
-                     KnowInf, Not, TOP, conj, disj, dual, implies, walk)
+                     KnowInf, Not, TOP, announcement_chain, conj, disj, dual,
+                     implies)
 
 DepthFn = Callable[[int, str], int]
 
@@ -253,8 +253,8 @@ def reduction_decide(inst: ThreeSatInstance) -> bool:
     table = _FINAL_CACHE.get(n)
     if table is None:
         m, f = reduce_3sat(ThreeSatInstance(n, ((1, 1, 1),)))
-        chain = [g.announced for g in walk(f) if isinstance(g, Announce)]
-        final, s = announcement_steps(m, chain, SemanticsKind.DPAL, "s")[-1]
+        final, s = announcement_steps(m, announcement_chain(f),
+                                      SemanticsKind.DPAL, "s")[-1]
         for a in range(final.agents):   # all built, final drops its parents
             final.class_ids(a)
         table = _FINAL_CACHE[n] = (final, final.state_index(s), {})
@@ -270,16 +270,6 @@ def reduction_decide(inst: ThreeSatInstance) -> bool:
     # the labeling's K rule; the depth gate is modal_depth(!phi') = 0
     known = _known(final, 0, phi ^ full) & final.depth_mask(0, 0)
     return not known >> index & 1
-
-
-def reduction_steps(inst: ThreeSatInstance) -> Iterator[Model]:
-    """Successive DPAL models along the reduction's announcement chain."""
-    m, f = reduce_3sat(inst)
-    yield m
-    while isinstance(f, Announce):
-        m = update(m, f.announced, SemanticsKind.DPAL)
-        yield m
-        f = f.sub
 
 
 def all_small_instances(n: int = 3, max_clauses: int = 4

@@ -25,8 +25,8 @@ from functools import cached_property
 from itertools import chain, compress, count, repeat
 from typing import NamedTuple
 
-from .model import (EQUIVALENCE, REFLEXIVE, Model, ModelError, bits_of,
-                    flags_of, mask_of)
+from .model import (EQUIVALENCE, REFLEXIVE, Model, ModelError, _bytes_of,
+                    bits_of, flags_of, mask_of)
 from .syntax import (And, Announce, Atom, DepthAtLeast, DepthExact, Formula,
                      Know, KnowInf, Not, TRUE_ATOM, modal_depth)
 
@@ -127,6 +127,21 @@ def update_image(kind: SemanticsKind, pre: int, n: int) -> list[int | None]:
     return image
 
 
+def announcement_steps(m: Model, announcements: list[Formula],
+                       kind: SemanticsKind, state: str | None = None
+                       ) -> list[tuple[Model, str | None]]:
+    """Models (and tracked designated state) after each successive update."""
+    steps: list[tuple[Model, str | None]] = [(m, state)]
+    cur, here = m, None if state is None else m.state_index(state)
+    for phi in announcements:
+        pre = check_labeling(cur, phi, kind).root_mask
+        if here is not None:
+            here = update_image(kind, pre, cur.n)[here]
+        cur = update(cur, phi, kind, pre)
+        steps.append((cur, None if here is None else cur.states[here]))
+    return steps
+
+
 def _pre(m: Model, announced: Formula, kind: SemanticsKind,
          pre: int | None) -> int:
     """``pre``, or when None the labeling's mask of the announcement."""
@@ -150,29 +165,28 @@ def update_dpal(m: Model, announced: Formula, pre: int | None = None
     the announcement at one of the class's announcement states."""
     if m.mode != EQUIVALENCE:
         raise ModeError("DPAL update requires an equivalence-mode model")
-    pre = _pre(m, announced, SemanticsKind.DPAL, pre)
+    heard = _bytes_of(_pre(m, announced, SemanticsKind.DPAL, pre), m.n)
     val = m.valuation()   # the 1. copies follow the n 0. copies
-    return Model._derived(m.agents, None, val + tuple(map(
-        val.__getitem__, bits_of(pre))), {}, EQUIVALENCE,
-        source=_DpalProduct(m, pre, modal_depth(announced)))
+    return Model._derived(
+        m.agents, None, val + tuple(compress(val, heard)), {}, EQUIVALENCE,
+        source=_DpalProduct(m, heard, modal_depth(announced)))
 
 
 class _DpalProduct(NamedTuple):
-    """A DPAL product's parent, announcement mask and announcement depth."""
+    """A DPAL product's parent, ``pre`` as bytes and announcement depth."""
     parent: Model
-    pre: int
+    heard: bytes
     dphi: int
 
     def states(self) -> tuple[str, ...]:
         names, (neg, pos) = self.parent.states, _COPY_PREFIX
         return tuple(map(neg.__add__, names)) + tuple(map(
-            pos.__add__, map(names.__getitem__, bits_of(self.pre))))
+            pos.__add__, compress(names, self.heard)))
 
     def columns(self, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        parent, pre, dphi = self
+        parent, heard, dphi = self
         ids, da = parent.class_ids(a), parent.depths(a)
-        pos_ids, pos_da = (list(map(c.__getitem__, bits_of(pre)))
-                           for c in (ids, da))
+        pos_ids, pos_da = list(compress(ids, heard)), list(compress(da, heard))
         # a class links its copies iff the agent is too shallow at one of its
         # announcement states; the 1. copies of the others form a class of
         # their own, whose first-index id is the state index of its first
@@ -204,7 +218,7 @@ def update_adpal(m: Model, announced: Formula, pre: int | None = None
     """Asymmetric update: same states; an edge from s to a successor t is cut
     iff the agent is deep enough at s and exactly one endpoint satisfies the
     announcement; depths decrement only where the agent is deep enough."""
-    flags = list(flags_of(_pre(m, announced, SemanticsKind.ADPAL, pre), m.n))
+    flags = _bytes_of(_pre(m, announced, SemanticsKind.ADPAL, pre), m.n)
     dphi = modal_depth(announced)
     yes = frozenset(compress(m.states, flags))
     succ: dict[int, dict[str, frozenset[str]]] = {}
@@ -342,19 +356,33 @@ def _known(model: Model, agent: int, sub: int) -> int:
         # all but the classes with a state outside sub; read from the class
         # ids, since one full-width mask per class would take memory
         # quadratic in the size of a DPAL product
-        n = model.n
-        full = (1 << n) - 1
+        full = (1 << model.n) - 1
+        if sub == full:
+            return full
         ids = model.class_ids(agent)
-        leaving = set(compress(ids, flags_of(full ^ sub, n)))
+        leaving = set(compress(ids, _bytes_of(full ^ sub, model.n)))
         return full ^ mask_of(map(leaving.__contains__, ids))
     return mask_of(t & sub == t for t in model.successor_masks(agent))
+
+
+def _pull_back(kind: SemanticsKind, pre: int, n: int, body: int) -> int:
+    """The states of ``pre`` at whose ``update_image`` ``body`` holds.  Their
+    images are, in order, the updated states from n (DPAL) or 0 (EDPAL) on,
+    so those bits of ``body`` are deposited into ``pre``'s set bits: written
+    MSB first, their digits take the places of ``pre``'s 1s."""
+    if kind is SemanticsKind.ADPAL:
+        return body & pre
+    gaps = bin(pre)[2:].split("1")
+    digits = format(body >> n if kind is SemanticsKind.DPAL else body, "b")
+    return int("".join(map(operator.add, gaps, digits.zfill(len(gaps) - 1)))
+               + gaps[-1], 2)
 
 
 def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
          updates: dict, runs: list) -> list[int]:
     """Run a program on model; returns the slots, also added to ``runs``.
-    ``updates`` maps (model id, announced node id) to the updated model, its
-    run's slots and the update's image, for ``[phi]psi`` to read psi."""
+    ``updates`` maps (model id, announced node id) to the slots of the run
+    on the updated model, for ``[phi]psi`` to read psi."""
     n = model.n
     full = (1 << n) - 1
     slots: list[int] = []
@@ -375,14 +403,9 @@ def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
             key = (id(model), id(announced))
             done = updates.get(key)
             if done is None:
-                upd = update(model, announced, kind, pre)
-                done = updates[key] = (
-                    upd, _run(upd, body, kind, updates, runs),
-                    update_image(kind, pre, n))
-            upd, upd_slots, image = done
-            # psi at each state's image; a dropped state (None) reads False
-            sub = dict(enumerate(flags_of(upd_slots[c], upd.n)))
-            put((pre ^ full) | mask_of(map(sub.get, image, repeat(False))))
+                done = updates[key] = _run(update(model, announced, kind, pre),
+                                           body, kind, updates, runs)
+            put((pre ^ full) | _pull_back(kind, pre, n, done[c]))
         elif op == _DEPTH:   # P[a,b], or E[a,b] if c
             mask = model.depth_mask(a, b)
             put(mask ^ model.depth_mask(a, b + 1) if c else mask)
@@ -408,8 +431,8 @@ def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
 
     f keeps its compiled program for later checks on any model.  Within a
     call each (model, announced node object) update runs once; its memo is
-    keyed by ids, unique while it lives (the program holds every node, the
-    memo every updated model), and is dropped on return with the labels."""
+    keyed by ids, unique while it lives (the program holds every node,
+    ``runs`` every updated model), and is dropped on return with the labels."""
     prog = _program(m, f)
     _require_mode(m, kind)
     runs: list[tuple[Model, list[int]]] = []

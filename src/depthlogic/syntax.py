@@ -164,6 +164,11 @@ def walk(f: Formula) -> Iterator[Formula]:
             stack.append(g.announced)
 
 
+def announcement_chain(f: Formula) -> list[Formula]:
+    """The announced formulas in preorder: a then b for ``[a][b] c``."""
+    return [g.announced for g in walk(f) if isinstance(g, Announce)]
+
+
 def subformulas(f: Formula) -> set[Formula]:
     return set(walk(f))
 

@@ -7,17 +7,22 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthlogic.model import (
     REFLEXIVE,
     Model,
     ModelError,
     PointedModel,
+    _bytes_of,
     bits_of,
     canonical_json,
+    flags_of,
     is_unambiguous,
     load_model,
     loads_model,
+    mask_of,
     model_from_dict,
     model_size,
     pair_walk,
@@ -524,3 +529,42 @@ def test_bits_of_lists_set_bits_in_order():
                                           for _ in range(20)]:
         assert list(bits_of(mask)) == [i for i in range(mask.bit_length())
                                        if mask >> i & 1]
+
+
+# the codec's edge widths (empty, one bit, around a byte and a 64-bit word)
+# and random ones
+_WIDTHS = st.one_of(st.sampled_from([0, 1, 7, 8, 9, 64, 65]),
+                    st.integers(0, 300))
+
+
+@st.composite
+def _flag_lists(draw):
+    """Flags of a random width; half the time only the highest ones can be
+    set, so that the mask's low bits are all clear."""
+    n = draw(_WIDTHS)
+    low = draw(st.integers(0, n)) if draw(st.booleans()) else 0
+    return [False] * low + draw(st.lists(st.booleans(), min_size=n - low,
+                                         max_size=n - low))
+
+
+class TestBitmaskCodec:
+    """``mask_of``, ``flags_of``, ``bits_of`` and the bytes form agree with
+    bit i standing for flag i, at every width."""
+
+    @given(_flag_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trips(self, flags):
+        n = len(flags)
+        mask = mask_of(flags)
+        assert mask == sum(1 << i for i, f in enumerate(flags) if f)
+        assert mask_of(f for f in flags) == mask   # generator input
+        assert list(flags_of(mask, n)) == flags
+        assert set(map(type, flags_of(mask, n))) <= {bool}
+        assert _bytes_of(mask, n) == bytes(flags)
+        assert mask_of(_bytes_of(mask, n)) == mask
+        assert list(bits_of(mask)) == [i for i, f in enumerate(flags) if f]
+
+    def test_empty(self):
+        assert mask_of([]) == mask_of(iter(())) == 0
+        assert list(flags_of(0, 0)) == [] and _bytes_of(0, 0) == b""
+        assert list(bits_of(0)) == []

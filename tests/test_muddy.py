@@ -21,15 +21,21 @@ from depthlogic.muddy import (
     proposition_matrix,
     reduce_3sat,
     reduction_decide,
-    reduction_steps,
     truth_table_sat,
     upper_bound_check,
     upper_bound_hypothesis,
 )
-from depthlogic.semantics import SemanticsKind, check, check_naive
-from depthlogic.syntax import modal_depth, parse, to_text
+from depthlogic.semantics import (SemanticsKind, announcement_steps, check,
+                                  check_naive)
+from depthlogic.syntax import announcement_chain, modal_depth, parse, to_text
 
 ALL_KINDS = (SemanticsKind.DPAL, SemanticsKind.EDPAL, SemanticsKind.ADPAL)
+
+
+def _reduction_steps(inst):
+    """The DPAL models along the reduction's announcement chain."""
+    m, f = reduce_3sat(inst)
+    return announcement_steps(m, announcement_chain(f), SemanticsKind.DPAL)
 
 
 class TestBuild:
@@ -154,7 +160,7 @@ class TestReduction:
     def test_final_model_covers_all_zero_nonzero_combinations(self):
         n = 3
         inst = ThreeSatInstance(n, ((1, 2, 3),))
-        final = list(reduction_steps(inst))[-1]
+        final, _ = _reduction_steps(inst)[-1]
         assert validate(final, "equivalence") is None
         # the n depth-only announcements split the single state into 2^n
         # copies covering every zero/nonzero combination for agents 1..n
@@ -167,7 +173,7 @@ class TestReduction:
 
     def test_growth_bounded_along_steps(self):
         inst = ThreeSatInstance(3, ((1, -2, 3), (-1, 2, -3)))
-        sizes = [model_size(m) for m in reduction_steps(inst)]
+        sizes = [model_size(m) for m, _ in _reduction_steps(inst)]
         for before, after in zip(sizes, sizes[1:]):
             assert after <= 4 * before
 

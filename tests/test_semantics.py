@@ -6,13 +6,16 @@ import copy
 import gc
 import pickle
 import random
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthlogic import dot, semantics
-from depthlogic.model import (REFLEXIVE, Model, ModelError, canonical_json,
-                              load_model, mask_of, model_size, save_model,
-                              validate)
+from depthlogic.model import (REFLEXIVE, Model, ModelError, bits_of,
+                              canonical_json, load_model, mask_of, model_size,
+                              save_model, validate)
 from depthlogic.muddy import (
     amnesia_formula,
     build_muddy,
@@ -298,12 +301,70 @@ class TestUpdateImage:
                   class_ids={0: [0, 0]},
                   depth={0: {"s": 1, "t": 1}})
         announcements = [Atom("p"), TOP]
-        steps = dot.announcement_steps(m, announcements, kind, state="s")
+        steps = semantics.announcement_steps(m, announcements, kind, state="s")
         assert [here for _, here in steps] == tracked
         for model, here in steps:
             assert here is None or model.has_state(here)
         text = dot.sequence_to_dot(m, announcements, kind, state="s")
         assert text.count("fillcolor") == sum(h is not None for h in tracked)
+
+
+class TestPullBack:
+    """``[phi]psi`` reads psi back through the update by bit deposit, and
+    ``K`` drops leaving classes through the class ids; both agree with the
+    state-by-state formulations."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_deposit_agrees_with_update_image(self, kind):
+        rng = random.Random(f"pull:{kind.value}")
+        spec = RandomSpec()
+        for _ in range(150):
+            m = random_model(rng, spec, unambiguous=rng.random() < 0.5)
+            phi = random_formula(rng, spec, announce=True, kinf=True)
+            n = m.n
+            full = (1 << n) - 1
+            for pre in (0, full, rng.getrandbits(n)):
+                upd = update(m, phi, kind, pre)
+                if kind is SemanticsKind.EDPAL and not pre:
+                    assert upd.n == 0 and upd.states == ()
+                image = update_image(kind, pre, n)
+                for body in (0, (1 << upd.n) - 1, rng.getrandbits(upd.n)):
+                    expected = mask_of(
+                        bool(pre >> i & 1 and body >> j & 1)
+                        for i, j in enumerate(image))
+                    assert semantics._pull_back(kind, pre, n, body) == expected
+
+    @given(st.integers(0, 300), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_deposit_fills_set_bits_in_order(self, n, rng):
+        # an EDPAL update keeps pre's states, so body's bit j goes to pre's
+        # j-th set bit; some masks have only high bits set
+        pre = rng.getrandbits(n) >> rng.randint(0, n) << rng.randint(0, n)
+        pre &= (1 << n) - 1
+        held = list(bits_of(pre))
+        body = rng.getrandbits(len(held))
+        pull = partial(semantics._pull_back, SemanticsKind.EDPAL, pre, n)
+        assert pull(body) == sum((body >> j & 1) << i
+                                 for j, i in enumerate(held))
+        assert pull((1 << len(held)) - 1) == pre and pull(0) == 0
+
+    def test_known_agrees_with_classes(self):
+        rng = random.Random(83)
+        spec = RandomSpec()
+        for _ in range(150):
+            m = random_model(rng, spec)
+            if rng.random() < 0.5:   # a lazy DPAL product's class ids
+                phi = random_formula(rng, spec, announce=True)
+                m = update(m, phi, SemanticsKind.DPAL)
+            assert m.mode == "equivalence"
+            full = (1 << m.n) - 1
+            for sub in (0, full, rng.getrandbits(m.n)):
+                inside = {s for i, s in enumerate(m.states) if sub >> i & 1}
+                for a in range(m.agents):
+                    kept = set().union(*(c for c in m.classes(a)
+                                         if c <= inside))
+                    assert semantics._known(m, a, sub) == mask_of(
+                        s in kept for s in m.states)
 
 
 class TestLabeling:
@@ -430,6 +491,7 @@ def _agrees_with_naive(m, f, kind):
     lab = check_labeling(m, f, kind)
     row = lab.table[lab.root]
     assert row == {s: check_naive(m, s, f, kind) for s in m.states}
+    assert set(map(type, row.values())) <= {bool}   # not 0/1 ints
     return lab
 
 

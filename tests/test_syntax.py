@@ -20,6 +20,7 @@ from depthlogic.syntax import (
     KnowInf,
     Not,
     ParseError,
+    announcement_chain,
     dual,
     f_transform,
     implies,
@@ -298,3 +299,11 @@ class TestFragments:
 def test_max_depth_constant():
     assert max_depth_constant(And(DepthAtLeast(0, 3), DepthExact(1, 5))) == 5
     assert max_depth_constant(P) == 0
+
+
+def test_announcement_chain_in_order():
+    assert announcement_chain(parse("[p][K[0] q] r")) == [P, Know(0, Q)]
+    assert announcement_chain(P) == []
+    # an announcement inside an announced formula comes before the body's
+    assert announcement_chain(parse("[[p] q] [r] p")) == [
+        parse("[p] q"), P, Atom("r")]
