@@ -2,12 +2,12 @@
 
 An equivalence-mode relation (DBEL, DPAL, EDPAL) is a partition, stored as
 one class id per state index for each agent; a reflexive-mode relation
-(ADPAL) is stored as each state's successor set.  Other modules read
-relations only through ``successors``: the agent's class, or the state
-itself plus its direct successors.  Explicit pairs exist only in model
-files: ``model_from_dict`` turns them into class ids or successor sets
-(closing an open equivalence relation with a warning), ``validate`` reads
-``Model.pairs``, derived from the successors, and the writer, ``to_dict``
+(ADPAL) is stored as one successor mask per state index (see below), the
+state's own bit included.  ``successors`` reads either as names: the
+agent's class, or the state itself plus its direct successors.  Explicit
+pairs exist only in model files: ``model_from_dict`` turns them into class
+ids or successor masks (closing an open equivalence relation with a
+warning), and ``validate``, through ``Model.pairs``, the writer, ``to_dict``
 and the DOT export walk them by state index (``pair_walk``).  Pairs never
 list reflexive loops.
 
@@ -24,15 +24,16 @@ Input is validated once, at the boundary: ``Model(...)``, ``model_from_dict``
 and ``Model.restrict`` check everything they are given.  The models the
 checker derives from valid ones (the DPAL, EDPAL and ADPAL updates and the
 ``sat`` candidates) are trusted: ``Model._derived`` sets their columns as
-given and re-checks none of them.  Their name index, and a DPAL product's
-names and per-agent columns (from its parent's), are built on first read.
+given and re-checks none of them.  Their name index is built on first read,
+and so is all of a DPAL product but its valuation: names, class ids and
+masks from its parent's, depth tuples only when read.
 
 For the labeling checker a model also offers sets of states as ``int``
 bitmasks, bit i standing for ``states[i]``: per atom, per (agent, depth
-bound) and, in reflexive mode, per state's successors.  Each is built on
-first use and cached, since models are immutable.  ``mask_of``,
-``flags_of`` and ``bits_of`` convert masks at C level, with no Python call
-per state, through a mask's bytes form: a 0/1 byte per state.
+bound) and per state's successors.  Each is built on first use and cached,
+since models are immutable.  ``mask_of``, ``flags_of`` and ``bits_of``
+convert masks at C level, with no Python call per state, through a mask's
+bytes form: a 0/1 byte per state.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ class Model:
     state order.
     """
 
-    __slots__ = ("agents", "n", "mode", "_states", "_val", "_rel", "_ids",
-                 "_depth", "_index", "_succ", "_classes", "_masks", "_source")
+    __slots__ = ("agents", "n", "mode", "_states", "_val", "_ids", "_depth",
+                 "_index", "_succ", "_classes", "_masks", "_source")
 
     def __init__(self,
                  agents: int,
@@ -99,7 +100,7 @@ class Model:
             raise ModelError(f"valuation for unknown state {unknown!r}")
         vmap = tuple([frozenset(val.get(s, ())) for s in states])
         ids: dict[int, tuple[int, ...]] = {}
-        succ: dict[int, dict[str, frozenset[str]]] = {}
+        succ: dict[int, tuple[int, ...]] = {}
         if mode == EQUIVALENCE:
             if successors is not None:
                 raise ModelError("successors needs reflexive mode")
@@ -116,18 +117,21 @@ class Model:
         else:
             if class_ids is not None:
                 raise ModelError("class_ids needs equivalence mode")
-            if successors is None:
-                successors = {a: {s: (s,) for s in states}
-                              for a in range(agents)}
-            if successors.keys() != set(range(agents)):
+            if successors is None:   # the identity: each state's own bit
+                successors, succ = {}, dict.fromkeys(range(agents), tuple(
+                    map((1).__lshift__, range(len(states)))))
+            elif successors.keys() != set(range(agents)):
                 raise ModelError("successors needs one map per agent")
+            bit = (1).__lshift__
             for a, column in successors.items():
-                succ[a] = {s: frozenset(column.get(s, ())) for s in states}
+                sets = [frozenset(column.get(s, ())) for s in states]
                 if column.keys() != index.keys() or not all(
                         s in ts and ts <= index.keys()
-                        for s, ts in succ[a].items()):
+                        for s, ts in zip(states, sets)):
                     raise ModelError(f"agent {a} needs each state's "
                                      f"successors, itself included")
+                succ[a] = tuple([sum(map(bit, map(index.__getitem__, ts)))
+                                 for ts in sets])
         self._fill(agents, states, vmap, _depth_columns(agents, index, depth),
                    mode, ids, succ, index)
 
@@ -136,15 +140,16 @@ class Model:
                  val: tuple[frozenset[str], ...],
                  depth: dict[int, tuple[int, ...]], mode: str, *,
                  ids: dict[int, tuple[int, ...]] | None = None,
-                 succ: dict[int, dict[str, frozenset[str]]] | None = None,
+                 succ: dict[int, tuple[int, ...]] | None = None,
                  index: dict[str, int] | None = None, source=None) -> Model:
         """A model from columns its caller guarantees, none of them checked:
         ``states`` distinct names; ``val`` each state's atoms as a frozenset,
         in state order; ``depth`` a tuple of ints per agent; in equivalence
         mode ``ids``, first-index class ids (see ``class_ids``) for every
         agent, and in reflexive mode ``succ``, each state's successors as a
-        frozenset with itself included, for every agent.  Optional: the name
-        ``index``; a ``source`` building None ``states`` and absent agents."""
+        mask with its own bit set (see ``successor_masks``), for every agent.
+        Optional: the name ``index``; a ``source`` building None ``states``,
+        absent agents' columns and uncached masks."""
         m = cls.__new__(cls)
         m._fill(agents, states, val, depth, mode, ids or {}, succ or {},
                 index, source)
@@ -157,13 +162,12 @@ class Model:
         self.mode = mode
         self._states = states
         self._val = val
-        self._rel: dict[int, frozenset[Pair]] = {}
         self._ids = ids
         self._depth = depth
         self._index = index
         self._succ = succ
         self._classes: dict[int, tuple[frozenset[str], ...]] = {}
-        self._masks: dict[tuple, int | tuple[int, ...]] = {}
+        self._masks: dict[tuple, int] = {}
         self._source = source
 
     # -- accessors --
@@ -179,23 +183,30 @@ class Model:
             self._index = dict(zip(self.states, count()))
         return self._index
 
-    def _build(self, agent: int | None = None) -> None:
-        """Builds the names (``agent`` None) or a known agent's columns from
-        the source, oldest lacking parent first: a long announcement chain
-        builds in a loop.  A model with all built drops source and parent."""
+    def _build(self, agent: int | None = None, depths: bool = False) -> None:
+        """Builds the names (``agent`` None) or a known agent's class ids (or
+        ``depths``) from the source, oldest lacking parent first: a long
+        chain builds in a loop.  A model with its names and every agent's
+        ids builds its other depths and drops source and parent."""
         if agent is not None and not 0 <= agent < self.agents:
             raise ModelError(f"unknown agent {agent}")
         todo, m = [], self
-        while (m._states if agent is None else m._depth.get(agent)) is None:
+        while (m._states is None if agent is None
+               else agent not in (m._depth if depths else m._ids)):
             assert m._source is not None, "a derived model lacks a column"
             todo.append(m)
             m = m._source.parent
         for m in reversed(todo):
             if agent is None:
                 m._states = m._source.states()
+            elif depths:
+                m._depth[agent] = m._source.depths(agent)
             else:
-                m._ids[agent], m._depth[agent] = m._source.columns(agent)
-            if m._states is not None and len(m._depth) == m.agents:
+                m._ids[agent] = m._source.ids(agent)
+            if m._states is not None and len(m._ids) == m.agents:
+                for b in range(m.agents):
+                    if b not in m._depth:
+                        m._depth[b] = m._source.depths(b)
                 m._source = None
 
     def atoms(self, state: str) -> frozenset[str]:
@@ -209,19 +220,19 @@ class Model:
         return self.depths(agent)[self._names()[state]]
 
     def depths(self, agent: int) -> tuple[int, ...]:
-        """The agent's depth at each state, in state order."""
+        """The agent's depth at each state, in state order (a DPAL product
+        builds its class ids too)."""
         if agent not in self._depth:
-            self._build(agent)
+            self.class_ids(agent)
+            self._build(agent, True)
         return self._depth[agent]
 
     def pairs(self, agent: int) -> frozenset[Pair]:
-        """Non-loop pairs, built from the successors on first use."""
-        pairs = self._rel.get(agent)
-        if pairs is None:
-            pairs = self._rel[agent] = frozenset(
-                (s, t) for s in self.states
-                for t in self.successors(agent, s) if s != t)
-        return pairs
+        """Non-loop pairs, from ``pair_walk``."""
+        states = self.states
+        return frozenset((states[i], states[j])
+                         for i, js in enumerate(pair_walk(self, agent))
+                         for j in js)
 
     def has_state(self, state: str) -> bool:
         return state in self._names()
@@ -232,68 +243,83 @@ class Model:
     def class_ids(self, agent: int) -> tuple[int, ...]:
         """Per state index, the index of the first state of its class (see
         ``classes``)."""
-        if agent not in self._ids:
-            self._build(agent)
-        if agent not in self._ids:   # reflexive mode: successor components
-            index = self._names().__getitem__
+        if agent in self._ids:
+            return self._ids[agent]
+        if agent in self._succ and self.mode == REFLEXIVE:   # components
             self._ids[agent] = _components(self.n, (
-                (index(s), index(t)) for s in self.states
-                for t in self.successors(agent, s)))
+                (i, j) for i, js in enumerate(pair_walk(self, agent))
+                for j in js))
+        else:
+            self._build(agent)
         return self._ids[agent]
 
     def successors(self, agent: int, state: str) -> frozenset[str]:
         """States the agent considers possible at ``state`` (includes itself):
         its class in equivalence mode, its direct successors otherwise."""
-        cache = self._succ.get(agent)
-        if cache is None:   # equivalence mode: built from the classes
-            cache = self._succ[agent] = {
-                s: cls for cls in self.classes(agent) for s in cls}
-        return cache[state]
+        mask = self.successor_masks(agent)[self._names()[state]]
+        return frozenset(map(self.states.__getitem__, bits_of(mask)))
 
     def classes(self, agent: int) -> tuple[frozenset[str], ...]:
         """The agent's partition (in reflexive mode: the connected components
         of the symmetrized relation), in state order."""
         cached = self._classes.get(agent)
-        if cached is not None:
-            return cached
-        groups: dict[int, list[str]] = {}
-        for s, c in zip(self.states, self.class_ids(agent)):
-            groups.setdefault(c, []).append(s)
-        result = tuple(frozenset(g) for g in groups.values())
-        self._classes[agent] = result
-        return result
+        if cached is None:
+            groups: dict[int, list[str]] = {}
+            for s, c in zip(self.states, self.class_ids(agent)):
+                groups.setdefault(c, []).append(s)
+            cached = self._classes[agent] = tuple(map(frozenset,
+                                                      groups.values()))
+        return cached
 
     # -- bitmasks (bit i stands for states[i]) --
 
     def atom_mask(self, atom: str) -> int:
         """States whose valuation holds the atom."""
-        key = ("atom", atom)
-        mask = self._masks.get(key)
-        if mask is None:
-            mask = self._masks[key] = mask_of(map(
-                frozenset.__contains__, self._val, repeat(atom)))
-        return mask
+        return self._mask(("atom", atom))
 
     def depth_mask(self, agent: int, d: int) -> int:
         """States where the agent's depth is at least ``d``."""
-        key = ("depth", agent, d)
+        return self._mask(("depth", agent, d))
+
+    def _mask(self, key: tuple) -> int:
+        """The atom or depth mask ``key``, cached.  A DPAL product derives it
+        from the masks of its parent that its source ``needs``, building
+        those missing up the chain first, oldest first, in a loop; it reads
+        an atom mask the parent lacks from its own valuation."""
         mask = self._masks.get(key)
-        if mask is None:
-            mask = self._masks[key] = mask_of(
-                map(d.__le__, self.depths(agent)))
+        if mask is not None:
+            return mask
+        src = self._source
+        if src is None or key[0] == "atom" and key not in src.parent._masks:
+            mask = mask_of(
+                map(key[2].__le__, self.depths(key[1])) if key[0] == "depth"
+                else map(frozenset.__contains__, self._val, repeat(key[1])))
+        else:
+            todo, m, keys = [], src.parent, src.needs(key)
+            while not all(map(m._masks.__contains__, keys)):
+                keys = {k for k in keys if k not in m._masks}
+                todo.append((m, keys))
+                if m._source is None:
+                    break
+                keys = {j for k in keys for j in m._source.needs(k)}
+                m = m._source.parent
+            for m, keys in reversed(todo):   # each m's parent has its needs
+                for k in keys:
+                    m._mask(k)
+            mask = src.mask(key)
+        self._masks[key] = mask
         return mask
 
     def successor_masks(self, agent: int) -> tuple[int, ...]:
-        """Per state index, the state's ``successors`` as a mask (for
-        reflexive mode, where updates never add states)."""
-        key = ("successors", agent)
-        masks = self._masks.get(key)
+        """Per state index, the agent's ``successors`` of that state as a
+        mask: stored in reflexive mode, one per class in equivalence mode."""
+        masks = self._succ.get(agent)
         if masks is None:
-            bit = (1).__lshift__
-            index = self._names().__getitem__
-            masks = self._masks[key] = tuple(
-                sum(map(bit, map(index, self.successors(agent, s))))
-                for s in self.states)
+            ids = self.class_ids(agent)
+            members: dict[int, int] = {}
+            for i, c in enumerate(ids):
+                members[c] = members.get(c, 0) | 1 << i
+            masks = self._succ[agent] = tuple(map(members.__getitem__, ids))
         return masks
 
     def restrict(self, keep: Sequence[int] | None = None,
@@ -333,8 +359,10 @@ class Model:
                    for a in range(self.agents)}
             return Model._derived(self.agents, states, val, depth, EQUIVALENCE,
                                   ids=ids)
-        kept = frozenset(states)
-        succ = {a: {s: self.successors(a, s) & kept for s in states}
+        new = dict(zip(keep, count()))   # a kept state's old index: new
+        succ = {a: tuple([sum(1 << new[j] for j in bits_of(t) if j in new)
+                          for t in map(self.successor_masks(a).__getitem__,
+                                       keep)])
                 for a in range(self.agents)}
         return Model._derived(self.agents, states, val, depth, REFLEXIVE,
                               succ=succ)
@@ -365,8 +393,17 @@ def flags_of(mask: int, n: int) -> Iterator[bool]:
 
 
 def bits_of(mask: int) -> Iterator[int]:
-    """The indices of a bitmask's set bits, ascending."""
-    return compress(count(), _bytes_of(mask, mask.bit_length()))
+    """The indices of a bitmask's set bits, ascending.  A sparse mask, such
+    as a state's successors, is read a set bit at a time, not a byte per
+    state."""
+    if mask.bit_count() << 5 >= mask.bit_length():
+        return compress(count(), _bytes_of(mask, mask.bit_length()))
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return iter(bits)
 
 
 def _first_index_ids(column: Iterable[Hashable]) -> tuple[int, ...]:
@@ -482,8 +519,8 @@ def is_unambiguous(m: Model) -> bool:
 
 def model_size(m: Model) -> int:
     """States plus, per agent and state, its successors (itself included)."""
-    return len(m.states) + sum(len(m.successors(a, s))
-                               for a in range(m.agents) for s in m.states)
+    return m.n + sum(len(js) + 1 for a in range(m.agents)
+                     for js in pair_walk(m, a))
 
 
 # -- serialization --
@@ -503,11 +540,8 @@ def pair_walk(m: Model, agent: int) -> Iterator[list[int]]:
             p = bisect_left(cls, i)
             yield cls[:p] + cls[p + 1:]
     else:
-        index = m.state_index
-        for i, s in enumerate(m.states):
-            js = sorted(map(index, m.successors(agent, s)))
-            js.remove(i)
-            yield js
+        for i, t in enumerate(m.successor_masks(agent)):
+            yield list(bits_of(t & ~(1 << i)))
 
 
 def to_dict(m: Model) -> dict:
@@ -649,12 +683,14 @@ def model_from_dict(data: Mapping) -> Model:
             raise ModelError(f"relation pair ({s!r}, {t!r}) uses unknown "
                              f"state")
         edges[a] = {(index[s], index[t]) for s, t in pairs if s != t}
-    if mode == REFLEXIVE:
-        successors = {a: {s: [s] for s in states} for a in range(agents)}
+    if mode == REFLEXIVE:   # checked with identity relations, then the arcs
+        m = Model(agents, states, val, depth, mode)
         for a, arcs in edges.items():
+            masks = list(m._succ[a])
             for i, j in arcs:
-                successors[a][states[i]].append(states[j])
-        return Model(agents, states, val, depth, mode, successors=successors)
+                masks[i] |= 1 << j
+            m._succ[a] = tuple(masks)
+        return m
     class_ids = {}
     for a, arcs in edges.items():
         ids = class_ids[a] = _components(len(states), arcs)

@@ -11,8 +11,9 @@ model (bit i for ``states[i]``), so ``!`` and ``&`` are single integer
 operations.  ``K``/``Kinf`` drop the classes that reach outside the label
 (equivalence mode) or test each state's successor mask (reflexive mode),
 and ``K`` is gated by the model's cached depth masks.  Updates take the
-announcement's truth as such a mask (``pre``); both checkers, the DOT
-export and the 3-SAT reduction follow states through ``update_image``.
+announcement's truth as such a mask (``pre``) and its modal depth; both
+checkers, the DOT export and the 3-SAT reduction follow states through
+``update_image``.  A DPAL product derives its masks from its parent's.
 """
 
 from __future__ import annotations
@@ -96,16 +97,16 @@ def _nv(m: Model, s: str, f: Formula, kind: SemanticsKind) -> bool:
 # -- model updates --
 
 def update(m: Model, announced: Formula, kind: SemanticsKind,
-           pre: int | None = None) -> Model:
+           pre: int | None = None, dphi: int | None = None) -> Model:
     """The model after announcing ``announced``.  ``pre`` is where it holds,
-    as a mask over ``m.states`` (bit i for ``states[i]``); None computes it
-    with ``check_labeling``."""
+    as a mask over ``m.states`` (bit i for ``states[i]``), and ``dphi`` its
+    ``modal_depth``; None computes them (``pre`` with ``check_labeling``)."""
     if kind is SemanticsKind.DPAL:
-        return update_dpal(m, announced, pre)
+        return update_dpal(m, announced, pre, dphi)
     if kind is SemanticsKind.EDPAL:
-        return update_edpal(m, announced, pre)
+        return update_edpal(m, announced, pre, dphi)
     if kind is SemanticsKind.ADPAL:
-        return update_adpal(m, announced, pre)
+        return update_adpal(m, announced, pre, dphi)
     raise FragmentError(_NO_DBEL_UPDATE)
 
 
@@ -143,9 +144,18 @@ def announcement_steps(m: Model, announcements: list[Formula],
 
 
 def _pre(m: Model, announced: Formula, kind: SemanticsKind,
-         pre: int | None) -> int:
-    """``pre``, or when None the labeling's mask of the announcement."""
-    return check_labeling(m, announced, kind).root_mask if pre is None else pre
+         pre: int | None, dphi: int | None) -> tuple[int, int]:
+    """``pre`` and ``dphi``, computed as ``update`` says where None."""
+    if pre is None:
+        pre = check_labeling(m, announced, kind).root_mask
+    return pre, modal_depth(announced) if dphi is None else dphi
+
+
+def _heard(depths: tuple[int, ...], dphi: int) -> tuple[int, ...]:
+    """The depths after an announcement of depth dphi is heard: those of at
+    least dphi lose it (each distinct depth is shifted once)."""
+    shift = {d: d - dphi if d >= dphi else d for d in set(depths)}
+    return tuple(map(shift.__getitem__, depths))
 
 
 _COPY_PREFIX = ("0.", "1.")
@@ -157,24 +167,26 @@ def dpal_copy(state: str, positive: bool) -> str:
     return _COPY_PREFIX[positive] + state
 
 
-def update_dpal(m: Model, announced: Formula, pre: int | None = None
-                ) -> Model:
+def update_dpal(m: Model, announced: Formula, pre: int | None = None,
+                dphi: int | None = None) -> Model:
     """World-duplicating update: a full negative copy plus a positive copy of
     the states satisfying the announcement.  Per agent, the copies of a class
     stay classes, and the two merge iff the agent is too shallow to perceive
     the announcement at one of the class's announcement states."""
     if m.mode != EQUIVALENCE:
         raise ModeError("DPAL update requires an equivalence-mode model")
-    heard = _bytes_of(_pre(m, announced, SemanticsKind.DPAL, pre), m.n)
+    pre, dphi = _pre(m, announced, SemanticsKind.DPAL, pre, dphi)
+    heard = _bytes_of(pre, m.n)
     val = m.valuation()   # the 1. copies follow the n 0. copies
     return Model._derived(
         m.agents, None, val + tuple(compress(val, heard)), {}, EQUIVALENCE,
-        source=_DpalProduct(m, heard, modal_depth(announced)))
+        source=_DpalProduct(m, pre, heard, dphi))
 
 
 class _DpalProduct(NamedTuple):
-    """A DPAL product's parent, ``pre`` as bytes and announcement depth."""
+    """A DPAL product's parent, ``pre`` as a mask and as bytes, and dphi."""
     parent: Model
+    pre: int
     heard: bytes
     dphi: int
 
@@ -183,57 +195,81 @@ class _DpalProduct(NamedTuple):
         return tuple(map(neg.__add__, names)) + tuple(map(
             pos.__add__, compress(names, self.heard)))
 
-    def columns(self, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        parent, heard, dphi = self
-        ids, da = parent.class_ids(a), parent.depths(a)
-        pos_ids, pos_da = list(compress(ids, heard)), list(compress(da, heard))
+    def ids(self, a: int) -> tuple[int, ...]:
+        parent, pre, heard, dphi = self
+        ids = parent.class_ids(a)
         # a class links its copies iff the agent is too shallow at one of its
         # announcement states; the 1. copies of the others form a class of
         # their own, whose first-index id is the state index of its first
         # 1. copy
-        linked = list(compress(pos_ids, map(dphi.__gt__, pos_da)))
+        shallow = pre & ~parent.depth_mask(a, dphi)
+        linked = list(compress(ids, _bytes_of(shallow, parent.n))
+                      if shallow else ())
         first = dict(zip(linked, linked))
-        # deep enough agents hear the announcement and lose its depth
-        shifted = {d: d - dphi if d >= dphi else d for d in set(pos_da)}
-        return (ids + tuple(map(first.setdefault, pos_ids, count(parent.n))),
-                da + tuple(map(shifted.__getitem__, pos_da)))
+        return ids + tuple(map(first.setdefault, compress(ids, heard),
+                               count(parent.n)))
+
+    def depths(self, a: int) -> tuple[int, ...]:
+        da = self.parent.depths(a)
+        return da + _heard(tuple(compress(da, self.heard)), self.dphi)
+
+    def needs(self, key: tuple) -> tuple[tuple, ...]:
+        """The parent's masks ``mask(key)`` reads (for d <= 0 a 1. copy's
+        depth is at least d iff its 0. copy's is)."""
+        if key[0] == "atom" or key[2] <= 0:
+            return (key,)
+        _, a, d = key
+        return key, ("depth", a, d + self.dphi), ("depth", a, self.dphi)
+
+    def mask(self, key: tuple) -> int:
+        """The product's mask from its parent's: the 0. copies keep the
+        parent's bits; the 1. copies take, packed, those at ``pre`` of the
+        same mask, or for d > 0 of P(d + dphi) where the agent is deep
+        enough to hear the announcement and of P(d) where it is not."""
+        masks = self.parent._masks
+        low = high = masks[key]
+        if key[0] == "depth" and key[2] > 0:
+            _, a, d = key
+            high = (masks["depth", a, d + self.dphi]
+                    | low & ~masks["depth", a, self.dphi])
+        n = self.parent.n
+        if not high:
+            return low
+        if high + 1 == 1 << n:   # every state: every 1. copy too
+            return low | ((1 << self.pre.bit_count()) - 1) << n
+        # high's binary digits, lowest first, kept where pre has a 1
+        packed = bytes(compress(bin(high)[:1:-1].encode(), self.heard))
+        return low | int(packed[::-1] or b"0", 2) << n
 
 
-def update_edpal(m: Model, announced: Formula, pre: int | None = None
-                 ) -> Model:
+def update_edpal(m: Model, announced: Formula, pre: int | None = None,
+                 dphi: int | None = None) -> Model:
     """Eager update: restrict to announcement states, decrement every depth
     unconditionally (possibly below zero)."""
     if m.mode != EQUIVALENCE:
         raise ModeError("EDPAL update requires an equivalence-mode model")
-    keep = list(bits_of(_pre(m, announced, SemanticsKind.EDPAL, pre)))
-    dphi = modal_depth(announced)
+    pre, dphi = _pre(m, announced, SemanticsKind.EDPAL, pre, dphi)
+    keep = list(bits_of(pre))
     depth = {a: tuple(map(operator.sub, map(m.depths(a).__getitem__, keep),
                           repeat(dphi)))
              for a in range(m.agents)}
     return m._restrict(keep, depth)
 
 
-def update_adpal(m: Model, announced: Formula, pre: int | None = None
-                 ) -> Model:
+def update_adpal(m: Model, announced: Formula, pre: int | None = None,
+                 dphi: int | None = None) -> Model:
     """Asymmetric update: same states; an edge from s to a successor t is cut
     iff the agent is deep enough at s and exactly one endpoint satisfies the
-    announcement; depths decrement only where the agent is deep enough."""
-    flags = _bytes_of(_pre(m, announced, SemanticsKind.ADPAL, pre), m.n)
-    dphi = modal_depth(announced)
-    yes = frozenset(compress(m.states, flags))
-    succ: dict[int, dict[str, frozenset[str]]] = {}
-    depth: dict[int, tuple[int, ...]] = {}
-    for a in range(m.agents):
-        succ[a], da = {}, []
-        for s, d, heard in zip(m.states, m.depths(a), flags):
-            ts = m.successors(a, s)
-            if d >= dphi:
-                d -= dphi
-                cut = ts & yes if heard else ts - yes
-                ts = cut if len(cut) < len(ts) else ts   # else shared with m
-            succ[a][s] = ts
-            da.append(d)
-        depth[a] = tuple(da)
+    announcement; depths decrement only where the agent is deep enough.
+    Each successor mask left whole is shared with m."""
+    pre, dphi = _pre(m, announced, SemanticsKind.ADPAL, pre, dphi)
+    heard = _bytes_of(pre, m.n)
+    keep = (pre ^ ((1 << m.n) - 1), pre)   # by heard: a state's side
+    succ = {a: tuple([t if d < dphi or (u := t & keep[h]) == t else u
+                      for t, d, h in zip(m.successor_masks(a), m.depths(a),
+                                         heard)])
+            for a in range(m.agents)}
+    depth = {a: _heard(m.depths(a), dphi) for a in range(m.agents)}
     return Model._derived(m.agents, m.states, m.valuation(), depth, REFLEXIVE,
                           succ=succ)
 
@@ -251,8 +287,8 @@ def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
     earlier slots; a ``K`` carries ``modal_depth`` of its body.  The bodies
     of all announcements of one announced node object form one program, run
     on the updated model; each such announcement carries the announced node,
-    that program and its body's slot there.  ``top_agent`` is the largest
-    agent index named anywhere, or -1."""
+    that program, the node's ``modal_depth`` and its body's slot there.
+    ``top_agent`` is the largest agent index named anywhere, or -1."""
     order, slot, stack = [], {}, roots[::-1]
     bodies: dict[int, list[Formula]] = {}   # by announced node
     while stack:
@@ -283,7 +319,8 @@ def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
         elif cls is Announce:
             (body, _), body_slot = groups[id(g.announced)]
             code.append((_ANNOUNCE, slot[id(g.announced)],
-                         (g.announced, body), body_slot[id(g.sub)]))
+                         (g.announced, body, modal_depth(g.announced)),
+                         body_slot[id(g.sub)]))
         elif cls in (DepthAtLeast, DepthExact):
             code.append((_DEPTH, g.agent, g.d, cls is DepthExact))
         elif cls in (Know, KnowInf):
@@ -352,17 +389,19 @@ class _Rows(Mapping):
 
 def _known(model: Model, agent: int, sub: int) -> int:
     """States all of whose agent-successors lie in ``sub``."""
+    full = (1 << model.n) - 1
+    if sub == full:
+        return full
+    out = full ^ sub
     if model.mode == EQUIVALENCE:
         # all but the classes with a state outside sub; read from the class
         # ids, since one full-width mask per class would take memory
         # quadratic in the size of a DPAL product
-        full = (1 << model.n) - 1
-        if sub == full:
-            return full
         ids = model.class_ids(agent)
-        leaving = set(compress(ids, _bytes_of(full ^ sub, model.n)))
+        leaving = set(compress(ids, _bytes_of(out, model.n)))
         return full ^ mask_of(map(leaving.__contains__, ids))
-    return mask_of(t & sub == t for t in model.successor_masks(agent))
+    return mask_of(map(operator.not_, map(
+        out.__and__, model.successor_masks(agent))))
 
 
 def _pull_back(kind: SemanticsKind, pre: int, n: int, body: int) -> int:
@@ -399,12 +438,13 @@ def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
             if kind is SemanticsKind.DBEL:
                 raise FragmentError(_NO_DBEL_ANNOUNCE)
             pre = slots[a]
-            announced, body = b
+            announced, body, dphi = b
             key = (id(model), id(announced))
             done = updates.get(key)
             if done is None:
-                done = updates[key] = _run(update(model, announced, kind, pre),
-                                           body, kind, updates, runs)
+                done = updates[key] = _run(
+                    update(model, announced, kind, pre, dphi), body, kind,
+                    updates, runs)
             put((pre ^ full) | _pull_back(kind, pre, n, done[c]))
         elif op == _DEPTH:   # P[a,b], or E[a,b] if c
             mask = model.depth_mask(a, b)

@@ -1,0 +1,157 @@
+"""Updated models read by state index: a DPAL product's masks and class ids
+come from its parent's, an ADPAL update's successor masks from its input's.
+Each must equal what the public constructor gives for the same columns."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from depthlogic import muddy
+from depthlogic.model import (EQUIVALENCE, REFLEXIVE, Model, canonical_json,
+                              mask_of)
+from depthlogic.semantics import update_adpal, update_dpal
+from depthlogic.syntax import Atom, Know, parse
+from test_derived import assert_same_as_validated, holds_on_to, rebuilt
+
+ATOMS = ("p", "q")
+
+
+@st.composite
+def models(draw, mode: str = EQUIVALENCE) -> Model:
+    """A model on up to 6 states with depths in -3..3 (EDPAL leaves depths
+    below zero): random classes in equivalence mode, random successor sets
+    in reflexive mode."""
+    n = draw(st.integers(1, 6))
+    agents = draw(st.integers(1, 3))
+    states = [f"s{i}" for i in range(n)]
+    val = {s: draw(st.sets(st.sampled_from(ATOMS))) for s in states}
+    depth = {a: draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+             for a in range(agents)}
+    if mode == EQUIVALENCE:
+        ids = {a: draw(st.lists(st.integers(0, n - 1), min_size=n,
+                                max_size=n)) for a in range(agents)}
+        return Model(agents, states, val, depth, class_ids=ids)
+    succ = {a: {s: draw(st.sets(st.sampled_from(states))) | {s}
+                for s in states} for a in range(agents)}
+    return Model(agents, states, val, depth, REFLEXIVE, successors=succ)
+
+
+def of_depth(d: int):
+    """An announcement of modal depth d."""
+    f = Atom("p")
+    for _ in range(d):
+        f = Know(0, f)
+    return f
+
+
+def depth_range(m: Model, dphi: int) -> range:
+    """Depth bounds from below every depth to above every depth + dphi."""
+    ds = [d for a in range(m.agents) for d in m.depths(a)] or [0]
+    return range(min(ds) - 1, max(ds) + dphi + 2)
+
+
+def dpal_chain(m: Model, steps: list[tuple[int, int]]) -> list[Model]:
+    """m and the models after a DPAL update per (pre seed, announcement
+    depth), left unread: each pre is the seed cut to the model's size."""
+    chain = [m]
+    for seed, dphi in steps:
+        chain.append(update_dpal(chain[-1], of_depth(dphi),
+                                 seed % (1 << chain[-1].n)))
+    return chain
+
+
+def by_definition(m: Model, pre: int, dphi: int) -> Model:
+    """The DPAL product built from its definition through the public
+    constructor: a 1. copy shares its 0. copy's class iff the agent is too
+    shallow for the announcement at some announcement state of that class;
+    where it hears it, its depth drops by dphi."""
+    heard = [i for i in range(m.n) if pre >> i & 1]
+    states = [f"0.{s}" for s in m.states] + [f"1.{m.states[i]}"
+                                             for i in heard]
+    val = dict(zip(states, list(m.valuation()) + [m.valuation()[i]
+                                                  for i in heard]))
+    ids, depth = {}, {}
+    for a in range(m.agents):
+        cid, da = m.class_ids(a), m.depths(a)
+        linked = {cid[i] for i in heard if da[i] < dphi}
+        ids[a] = list(cid) + [cid[i] if cid[i] in linked else ("1", cid[i])
+                              for i in heard]
+        depth[a] = list(da) + [da[i] - dphi if da[i] >= dphi else da[i]
+                               for i in heard]
+    return Model(m.agents, states, val, depth, class_ids=ids)
+
+
+def assert_masks_match(m: Model, want: Model, ds: range) -> None:
+    for atom in ATOMS:
+        assert m.atom_mask(atom) == want.atom_mask(atom)
+    for a in range(m.agents):
+        for d in ds:
+            assert m.depth_mask(a, d) == want.depth_mask(a, d), (a, d)
+        assert m.class_ids(a) == want.class_ids(a)
+
+
+chains = st.lists(st.tuples(st.integers(0, 2 ** 40), st.integers(0, 3)),
+                 min_size=1, max_size=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(models(), chains)
+def test_dpal_product_masks_equal_its_rebuild(m, steps):
+    want = rebuilt(dpal_chain(m, steps)[-1])
+    ref = m
+    for seed, dphi in steps:
+        ref = by_definition(ref, seed % (1 << ref.n), dphi)
+    assert canonical_json(want) == canonical_json(ref)
+    ds = depth_range(want, max(d for _, d in steps))
+    assert_masks_match(dpal_chain(m, steps)[-1], want, ds)   # masks first
+    *_, parent, built = dpal_chain(m, steps)
+    built.states
+    for a in range(built.agents):   # columns first: then parent is dropped
+        built.depths(a)
+    assert not holds_on_to(built, parent)
+    assert_masks_match(built, want, ds)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(models(), models(REFLEXIVE)), st.integers(0, 2 ** 40),
+       st.integers(0, 3))
+def test_adpal_successor_masks_equal_its_rebuild(m, seed, dphi):
+    upd = update_adpal(m, of_depth(dphi), seed % (1 << m.n))
+    want = rebuilt(upd)
+    for a in range(m.agents):
+        assert upd.successor_masks(a) == want.successor_masks(a)
+        assert all(upd.successors(a, s) == want.successors(a, s)
+                   for s in m.states)
+        # a mask left whole is the input's own object
+        assert all(new is old or new != old for new, old in zip(
+            upd.successor_masks(a), m.successor_masks(a)))
+    assert_same_as_validated(upd.restrict(range(m.n - 1, -1, -2)))
+
+
+def test_long_unread_chain_reads_a_depth_mask_first():
+    m = Model(2, ["s", "t"], {"s": ["p"]}, class_ids={0: [0, 0]})
+    chain = [m]
+    for _ in range(300):   # depth 1 and nowhere true: two states each
+        chain.append(update_dpal(chain[-1], parse("K[0] p & !p"), 0))
+    last = chain[-1]
+    assert last.depth_mask(0, 1) == 0 and last.depth_mask(1, 0) == 0b11
+    assert last.class_ids(0) == (0, 0)
+    assert last.depth_mask(0, 1) == mask_of(map((1).__le__, last.depths(0)))
+
+
+def test_reduction_final_model_drops_its_parents(monkeypatch):
+    steps = []
+
+    def spy(*args, **kwargs):
+        steps.extend(muddy_steps(*args, **kwargs))
+        return steps
+
+    muddy_steps = muddy.announcement_steps
+    monkeypatch.setattr(muddy, "_FINAL_CACHE", {})
+    monkeypatch.setattr(muddy, "announcement_steps", spy)
+    inst = muddy.ThreeSatInstance(3, ((1, 2, -3), (-1, -2, 3)))
+    assert muddy.reduction_decide(inst) == muddy.truth_table_sat(inst)
+    final = muddy._FINAL_CACHE[3][0]
+    assert final is steps[-1][0] and len(steps) > 2
+    assert not any(holds_on_to(final, m) for m, _ in steps[:-1])
