@@ -10,7 +10,7 @@ from .semantics import (FragmentError, ModeError, SemanticsKind, check,
 from .syntax import (And, Announce, Atom, DepthAtLeast, DepthExact, Formula,
                      Fragment, Know, KnowInf, Not, ParseError, TOP, dual,
                      f_transform, iff, implies, in_fragment, modal_depth,
-                     or_, parse, simplify, size, to_text, translate_edpal)
+                     or_, parse, size, to_text, translate_edpal)
 
 __version__ = "0.1.0"
 
@@ -24,5 +24,5 @@ __all__ = [
     "And", "Announce", "Atom", "DepthAtLeast", "DepthExact", "Formula",
     "Fragment", "Know", "KnowInf", "Not", "ParseError", "TOP", "dual",
     "f_transform", "iff", "implies", "in_fragment", "modal_depth", "or_",
-    "parse", "simplify", "size", "to_text", "translate_edpal",
+    "parse", "size", "to_text", "translate_edpal",
 ]

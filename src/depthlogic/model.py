@@ -25,8 +25,8 @@ and ``Model.restrict`` check everything they are given.  The models the
 checker derives from valid ones (the DPAL, EDPAL and ADPAL updates and the
 ``sat`` candidates) are trusted: ``Model._derived`` sets their columns as
 given and re-checks none of them.  Their name index is built on first read,
-and so is all of a DPAL product but its valuation: names, class ids and
-masks from its parent's, depth tuples only when read.
+and so is all of a DPAL or EDPAL update but its valuation: names, class ids
+and masks from its parent's, depth tuples only when read.
 
 For the labeling checker a model also offers sets of states as ``int``
 bitmasks, bit i standing for ``states[i]``: per atom, per (agent, depth
@@ -220,8 +220,8 @@ class Model:
         return self.depths(agent)[self._names()[state]]
 
     def depths(self, agent: int) -> tuple[int, ...]:
-        """The agent's depth at each state, in state order (a DPAL product
-        builds its class ids too)."""
+        """The agent's depth at each state, in state order (a DPAL or EDPAL
+        update builds its class ids too)."""
         if agent not in self._depth:
             self.class_ids(agent)
             self._build(agent, True)
@@ -282,10 +282,10 @@ class Model:
         return self._mask(("depth", agent, d))
 
     def _mask(self, key: tuple) -> int:
-        """The atom or depth mask ``key``, cached.  A DPAL product derives it
-        from the masks of its parent that its source ``needs``, building
-        those missing up the chain first, oldest first, in a loop; it reads
-        an atom mask the parent lacks from its own valuation."""
+        """The atom or depth mask ``key``, cached.  A DPAL or EDPAL update
+        derives it from the masks of its parent that its source ``needs``,
+        building those missing up the chain first, oldest first, in a loop;
+        it reads an atom mask the parent lacks from its own valuation."""
         mask = self._masks.get(key)
         if mask is not None:
             return mask
@@ -339,19 +339,12 @@ class Model:
             raise ModelError(f"no state at index {bad!r} (the model has {n})")
         if len(kept) != len(keep):
             raise ModelError("restrict keeps a state index twice")
-        if depth is not None:
-            depth = _depth_columns(self.agents, dict.fromkeys(
-                map(self.states.__getitem__, keep)), depth)
-        return self._restrict(keep, depth)
-
-    def _restrict(self, keep: Sequence[int],
-                  depth: dict[int, tuple[int, ...]] | None = None) -> Model:
-        """``restrict`` for distinct in-range indices and depth tuples its
-        caller guarantees."""
         states = tuple(map(self.states.__getitem__, keep))
         if depth is None:
             depth = {a: tuple(map(self.depths(a).__getitem__, keep))
                      for a in range(self.agents)}
+        else:
+            depth = _depth_columns(self.agents, dict.fromkeys(states), depth)
         val = tuple(map(self._val.__getitem__, keep))
         if self.mode == EQUIVALENCE:
             ids = {a: _first_index_ids(

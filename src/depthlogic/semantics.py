@@ -10,10 +10,11 @@ update runs once.  Each label is one ``int`` bitmask over the states of its
 model (bit i for ``states[i]``), so ``!`` and ``&`` are single integer
 operations.  ``K``/``Kinf`` drop the classes that reach outside the label
 (equivalence mode) or test each state's successor mask (reflexive mode),
-and ``K`` is gated by the model's cached depth masks.  Updates take the
-announcement's truth as such a mask (``pre``) and its modal depth; both
-checkers, the DOT export and the 3-SAT reduction follow states through
-``update_image``.  A DPAL product derives its masks from its parent's.
+and ``K`` is gated by the model's cached depth masks, looked up by the keys
+the program carries.  Updates take the announcement's truth as such a mask
+(``pre``) and its modal depth; both checkers, the DOT export and the 3-SAT
+reduction follow states through ``update_image``.  A DPAL or EDPAL update
+is a view of its parent until read, with masks derived from the parent's.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import chain, compress, count, repeat
 from typing import NamedTuple
 
 from .model import (EQUIVALENCE, REFLEXIVE, Model, ModelError, _bytes_of,
-                    bits_of, flags_of, mask_of)
+                    _first_index_ids, bits_of, flags_of, mask_of)
 from .syntax import (And, Announce, Atom, DepthAtLeast, DepthExact, Formula,
                      Know, KnowInf, Not, TRUE_ATOM, modal_depth)
 
@@ -145,7 +146,9 @@ def announcement_steps(m: Model, announcements: list[Formula],
 
 def _pre(m: Model, announced: Formula, kind: SemanticsKind,
          pre: int | None, dphi: int | None) -> tuple[int, int]:
-    """``pre`` and ``dphi``, computed as ``update`` says where None."""
+    """``pre`` and ``dphi``, computed as ``update`` says where None, once
+    m's mode suits ``kind``."""
+    _require_mode(m, kind)
     if pre is None:
         pre = check_labeling(m, announced, kind).root_mask
     return pre, modal_depth(announced) if dphi is None else dphi
@@ -161,10 +164,22 @@ def _heard(depths: tuple[int, ...], dphi: int) -> tuple[int, ...]:
 _COPY_PREFIX = ("0.", "1.")
 
 
-def dpal_copy(state: str, positive: bool) -> str:
-    """Name of a state's copy after a DPAL update: ``1.s`` for the positive
-    copy (the announcement was heard), ``0.s`` for the negative one."""
-    return _COPY_PREFIX[positive] + state
+class _View(NamedTuple):
+    """A lazy update's source (see ``Model._derived``): its parent, ``pre``
+    as a mask and as bytes, and dphi."""
+    parent: Model
+    pre: int
+    heard: bytes
+    dphi: int
+
+    def packed(self, mask: int) -> int:
+        """A parent mask's bits at ``pre``'s set bits, packed low: its binary
+        digits, lowest first, kept where pre has a 1."""
+        kept = mask & self.pre
+        if not kept or kept == self.pre:   # none or all of pre's bits
+            return (1 << kept.bit_count()) - 1
+        packed = bytes(compress(bin(mask)[:1:-1].encode(), self.heard))
+        return int(packed[::-1], 2)
 
 
 def update_dpal(m: Model, announced: Formula, pre: int | None = None,
@@ -173,8 +188,6 @@ def update_dpal(m: Model, announced: Formula, pre: int | None = None,
     the states satisfying the announcement.  Per agent, the copies of a class
     stay classes, and the two merge iff the agent is too shallow to perceive
     the announcement at one of the class's announcement states."""
-    if m.mode != EQUIVALENCE:
-        raise ModeError("DPAL update requires an equivalence-mode model")
     pre, dphi = _pre(m, announced, SemanticsKind.DPAL, pre, dphi)
     heard = _bytes_of(pre, m.n)
     val = m.valuation()   # the 1. copies follow the n 0. copies
@@ -183,12 +196,8 @@ def update_dpal(m: Model, announced: Formula, pre: int | None = None,
         source=_DpalProduct(m, pre, heard, dphi))
 
 
-class _DpalProduct(NamedTuple):
-    """A DPAL product's parent, ``pre`` as a mask and as bytes, and dphi."""
-    parent: Model
-    pre: int
-    heard: bytes
-    dphi: int
+class _DpalProduct(_View):
+    __slots__ = ()
 
     def states(self) -> tuple[str, ...]:
         names, (neg, pos) = self.parent.states, _COPY_PREFIX
@@ -232,28 +241,43 @@ class _DpalProduct(NamedTuple):
             _, a, d = key
             high = (masks["depth", a, d + self.dphi]
                     | low & ~masks["depth", a, self.dphi])
-        n = self.parent.n
-        if not high:
-            return low
-        if high + 1 == 1 << n:   # every state: every 1. copy too
-            return low | ((1 << self.pre.bit_count()) - 1) << n
-        # high's binary digits, lowest first, kept where pre has a 1
-        packed = bytes(compress(bin(high)[:1:-1].encode(), self.heard))
-        return low | int(packed[::-1] or b"0", 2) << n
+        return low | self.packed(high) << self.parent.n
 
 
 def update_edpal(m: Model, announced: Formula, pre: int | None = None,
                  dphi: int | None = None) -> Model:
     """Eager update: restrict to announcement states, decrement every depth
     unconditionally (possibly below zero)."""
-    if m.mode != EQUIVALENCE:
-        raise ModeError("EDPAL update requires an equivalence-mode model")
     pre, dphi = _pre(m, announced, SemanticsKind.EDPAL, pre, dphi)
-    keep = list(bits_of(pre))
-    depth = {a: tuple(map(operator.sub, map(m.depths(a).__getitem__, keep),
-                          repeat(dphi)))
-             for a in range(m.agents)}
-    return m._restrict(keep, depth)
+    heard = _bytes_of(pre, m.n)
+    return Model._derived(
+        m.agents, None, tuple(compress(m.valuation(), heard)), {},
+        EQUIVALENCE, source=_EdpalView(m, pre, heard, dphi))
+
+
+class _EdpalView(_View):
+    __slots__ = ()
+
+    def states(self) -> tuple[str, ...]:
+        return tuple(compress(self.parent.states, self.heard))
+
+    def ids(self, a: int) -> tuple[int, ...]:
+        return _first_index_ids(compress(self.parent.class_ids(a),
+                                         self.heard))
+
+    def depths(self, a: int) -> tuple[int, ...]:
+        kept = compress(self.parent.depths(a), self.heard)
+        return tuple(map(operator.sub, kept, repeat(self.dphi)))
+
+    def needs(self, key: tuple) -> tuple[tuple, ...]:
+        """The parent mask ``mask(key)`` reads: P(d + dphi) for P(d)."""
+        if key[0] == "atom":
+            return (key,)
+        return (("depth", key[1], key[2] + self.dphi),)
+
+    def mask(self, key: tuple) -> int:
+        """The parent's ``needs`` mask, packed at ``pre``."""
+        return self.packed(self.parent._masks[self.needs(key)[0]])
 
 
 def update_adpal(m: Model, announced: Formula, pre: int | None = None,
@@ -284,7 +308,8 @@ def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
     """The program ``(code, top_agent)`` over the distinct node objects
     under ``roots``, and each node's slot by id (good while they live).
     ``code`` has one instruction per node, in post-order, whose operands are
-    earlier slots; a ``K`` carries ``modal_depth`` of its body.  The bodies
+    earlier slots.  Leaves carry their mask keys (see ``Model._mask``), E(d)
+    P(d + 1)'s too; a ``K``, P(``modal_depth`` of its body)'s.  The bodies
     of all announcements of one announced node object form one program, run
     on the updated model; each such announcement carries the announced node,
     that program, the node's ``modal_depth`` and its body's slot there.
@@ -315,17 +340,20 @@ def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
         elif cls is Not:
             code.append((_NOT, slot[id(g.sub)], None, None))
         elif cls is Atom:
-            code.append((_ATOM, g.name, g.name == TRUE_ATOM, None))
+            code.append((_ATOM, ("atom", g.name), g.name == TRUE_ATOM, None))
         elif cls is Announce:
             (body, _), body_slot = groups[id(g.announced)]
             code.append((_ANNOUNCE, slot[id(g.announced)],
                          (g.announced, body, modal_depth(g.announced)),
                          body_slot[id(g.sub)]))
         elif cls in (DepthAtLeast, DepthExact):
-            code.append((_DEPTH, g.agent, g.d, cls is DepthExact))
+            code.append((_DEPTH, ("depth", g.agent, g.d),
+                         ("depth", g.agent, g.d + 1) if cls is DepthExact
+                         else None, None))
         elif cls in (Know, KnowInf):
             code.append((_KNOW, g.agent, slot[id(g.sub)],
-                         modal_depth(g.sub) if cls is Know else None))
+                         ("depth", g.agent, modal_depth(g.sub)) if cls is Know
+                         else None))
         else:
             raise TypeError(f"not a formula: {g!r}")
         top = max(top, getattr(g, "agent", -1))
@@ -421,9 +449,11 @@ def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
          updates: dict, runs: list) -> list[int]:
     """Run a program on model; returns the slots, also added to ``runs``.
     ``updates`` maps (model id, announced node id) to the slots of the run
-    on the updated model, for ``[phi]psi`` to read psi."""
+    on the updated model, for ``[phi]psi`` to read psi.  A mask key is
+    looked up in the model's cache, and ``Model._mask`` called on a miss."""
     n = model.n
     full = (1 << n) - 1
+    masks = model._masks
     slots: list[int] = []
     runs.append((model, slots))
     put = slots.append
@@ -432,8 +462,9 @@ def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
             put(slots[a] & slots[b])
         elif op == _NOT:
             put(slots[a] ^ full)
-        elif op == _ATOM:
-            put(full if b else model.atom_mask(a))
+        elif op == _ATOM:   # the mask of key a, or every state if b
+            mask = full if b else masks.get(a)
+            put(model._mask(a) if mask is None else mask)
         elif op == _ANNOUNCE:
             if kind is SemanticsKind.DBEL:
                 raise FragmentError(_NO_DBEL_ANNOUNCE)
@@ -446,12 +477,15 @@ def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
                     update(model, announced, kind, pre, dphi), body, kind,
                     updates, runs)
             put((pre ^ full) | _pull_back(kind, pre, n, done[c]))
-        elif op == _DEPTH:   # P[a,b], or E[a,b] if c
-            mask = model.depth_mask(a, b)
-            put(mask ^ model.depth_mask(a, b + 1) if c else mask)
-        else:   # K[a], gated at depth c, or Kinf[a] if c is None
-            mask = _known(model, a, slots[b])
-            put(mask if c is None else mask & model.depth_mask(a, c))
+        elif op == _DEPTH:   # P(d) of key a, less P(d + 1) of key b for E
+            low = masks.get(a)
+            high = 0 if b is None else masks.get(b)
+            put((model._mask(a) if low is None else low)
+                ^ (model._mask(b) if high is None else high))
+        else:   # K[a], gated by the mask of key c, or Kinf[a] if c is None
+            gate = full if c is None else masks.get(c)
+            gate = model._mask(c) if gate is None else gate
+            put(_known(model, a, slots[b]) & gate)
     return slots
 
 

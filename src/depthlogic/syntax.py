@@ -187,24 +187,6 @@ def max_depth_constant(f: Formula) -> int:
     return max(ds, default=0)
 
 
-def simplify(f: Formula) -> Formula:
-    """Remove all double negations."""
-    if isinstance(f, Not):
-        sub = simplify(f.sub)
-        if isinstance(sub, Not):
-            return sub.sub
-        return Not(sub)
-    if isinstance(f, And):
-        return And(simplify(f.left), simplify(f.right))
-    if isinstance(f, Know):
-        return Know(f.agent, simplify(f.sub))
-    if isinstance(f, KnowInf):
-        return KnowInf(f.agent, simplify(f.sub))
-    if isinstance(f, Announce):
-        return Announce(simplify(f.announced), simplify(f.sub))
-    return f
-
-
 class Fragment(Enum):
     L = "L"          # no Kinf
     LINF = "Linf"    # full language
@@ -372,7 +354,8 @@ def _tokenize(text: str) -> list[_Token]:
         if m is None:
             ch = text[pos]
             if ch == "-" and pos + 1 < len(text) and text[pos + 1].isdigit():
-                raise ParseError("negative depth literals are not allowed", line, col)
+                raise ParseError("negative numbers are not allowed (agent "
+                                 "indices and depths start at 0)", line, col)
             raise ParseError(f"unexpected character {ch!r}", line, col)
         kind = m.lastgroup
         tok = m.group()

@@ -32,8 +32,8 @@ from depthlogic.model import (
 )
 from depthlogic.muddy import build_muddy, canonical_depths, phi_k
 from depthlogic.props import RandomSpec, random_model
-from depthlogic.semantics import (SemanticsKind, check_naive, dpal_copy,
-                                  update_adpal, update_dpal, update_edpal)
+from depthlogic.semantics import (SemanticsKind, check_naive, update_adpal,
+                                  update_dpal, update_edpal)
 from depthlogic.syntax import Announce, Atom, Know, walk
 
 
@@ -395,10 +395,10 @@ class TestDepthsByIndex:
         for a in range(2):
             for s in shuffled.states:
                 d = shuffled.depth(a, s)
-                assert dpal.depth(a, dpal_copy(s, False)) == d
+                assert dpal.depth(a, "0." + s) == d
                 assert adpal.depth(a, s) == heard(d)
                 if truth[s]:
-                    assert dpal.depth(a, dpal_copy(s, True)) == heard(d)
+                    assert dpal.depth(a, "1." + s) == heard(d)
                     assert edpal.depth(a, s) == d - 1
 
 

@@ -1,18 +1,22 @@
-"""Updated models read by state index: a DPAL product's masks and class ids
-come from its parent's, an ADPAL update's successor masks from its input's.
-Each must equal what the public constructor gives for the same columns."""
+"""Updated models read by state index: a DPAL product's or an EDPAL view's
+masks and class ids come from its parent's, an ADPAL update's successor
+masks from its input's.  Each must equal what the public constructor gives
+for the same columns."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlogic import muddy
 from depthlogic.model import (EQUIVALENCE, REFLEXIVE, Model, canonical_json,
                               mask_of)
-from depthlogic.semantics import update_adpal, update_dpal
+from depthlogic.semantics import (check_labeling, check_naive, update_adpal,
+                                  update_dpal, update_edpal)
 from depthlogic.syntax import Atom, Know, parse
-from test_derived import assert_same_as_validated, holds_on_to, rebuilt
+from test_derived import (KINDS, assert_same_as_validated, holds_on_to,
+                          rebuilt)
 
 ATOMS = ("p", "q")
 
@@ -51,13 +55,14 @@ def depth_range(m: Model, dphi: int) -> range:
     return range(min(ds) - 1, max(ds) + dphi + 2)
 
 
-def dpal_chain(m: Model, steps: list[tuple[int, int]]) -> list[Model]:
-    """m and the models after a DPAL update per (pre seed, announcement
-    depth), left unread: each pre is the seed cut to the model's size."""
+def update_chain(m: Model, steps: list[tuple[bool, int, int]]) -> list[Model]:
+    """m and the models after an EDPAL (if eager) or DPAL update per (eager,
+    pre seed, announcement depth), left unread: each pre is the seed cut to
+    the model's size."""
     chain = [m]
-    for seed, dphi in steps:
-        chain.append(update_dpal(chain[-1], of_depth(dphi),
-                                 seed % (1 << chain[-1].n)))
+    for eager, seed, dphi in steps:
+        upd = update_edpal if eager else update_dpal
+        chain.append(upd(chain[-1], of_depth(dphi), seed % (1 << chain[-1].n)))
     return chain
 
 
@@ -91,26 +96,85 @@ def assert_masks_match(m: Model, want: Model, ds: range) -> None:
         assert m.class_ids(a) == want.class_ids(a)
 
 
-chains = st.lists(st.tuples(st.integers(0, 2 ** 40), st.integers(0, 3)),
-                 min_size=1, max_size=3)
+def edpal_by_definition(m: Model, pre: int, dphi: int) -> Model:
+    """The EDPAL update built from its definition through the public
+    constructor: the states of pre, each depth lowered by dphi."""
+    keep = [i for i in range(m.n) if pre >> i & 1]
+    states = [m.states[i] for i in keep]
+    return Model(m.agents, states,
+                 dict(zip(states, [m.valuation()[i] for i in keep])),
+                 {a: [m.depths(a)[i] - dphi for i in keep]
+                  for a in range(m.agents)},
+                 class_ids={a: [m.class_ids(a)[i] for i in keep]
+                            for a in range(m.agents)})
 
 
-@settings(max_examples=120, deadline=None)
-@given(models(), chains)
-def test_dpal_product_masks_equal_its_rebuild(m, steps):
-    want = rebuilt(dpal_chain(m, steps)[-1])
+def assert_chain_equals_rebuild(m: Model, steps) -> None:
+    """The last model of ``update_chain(m, steps)`` equals the chain built
+    by definition; its masks equal the rebuild's when read before its
+    columns and after them (then it has dropped its parent); and
+    ``restrict`` on it unread equals its validated rebuild."""
+    want = rebuilt(update_chain(m, steps)[-1])
     ref = m
-    for seed, dphi in steps:
-        ref = by_definition(ref, seed % (1 << ref.n), dphi)
+    for eager, seed, dphi in steps:
+        ref = (edpal_by_definition if eager else by_definition)(
+            ref, seed % (1 << ref.n), dphi)
     assert canonical_json(want) == canonical_json(ref)
-    ds = depth_range(want, max(d for _, d in steps))
-    assert_masks_match(dpal_chain(m, steps)[-1], want, ds)   # masks first
-    *_, parent, built = dpal_chain(m, steps)
+    ds = depth_range(want, max(d for *_, d in steps))
+    assert_masks_match(update_chain(m, steps)[-1], want, ds)   # masks first
+    *_, parent, built = update_chain(m, steps)
     built.states
     for a in range(built.agents):   # columns first: then parent is dropped
         built.depths(a)
     assert not holds_on_to(built, parent)
     assert_masks_match(built, want, ds)
+    unread = update_chain(m, steps)[-1]
+    assert_same_as_validated(unread.restrict(range(unread.n - 1, -1, -2)))
+
+
+def chains(eager=st.just(False)) -> st.SearchStrategy:
+    """1-3 steps for ``update_chain``; DPAL only by default."""
+    return st.lists(st.tuples(eager, st.integers(0, 2 ** 40),
+                              st.integers(0, 3)), min_size=1, max_size=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(models(), chains())
+def test_dpal_product_masks_equal_its_rebuild(m, steps):
+    assert_chain_equals_rebuild(m, steps)
+
+
+@pytest.mark.parametrize("steps_of", [chains(st.just(True)),
+                                      chains(st.booleans())],
+                         ids=["edpal", "mixed"])
+@settings(max_examples=120, deadline=None)
+@given(m=models(), data=st.data())
+def test_edpal_view_masks_equal_its_rebuild(steps_of, m, data):
+    assert_chain_equals_rebuild(m, data.draw(steps_of))
+
+
+KEYED = [parse(text) for text in (
+    "E[0,0] & !P[1,1]", "E[1,2] | P[0,0]", "K[0] p & !K[1] K[0] q",
+    "[K[0] p]E[0,0]", "[K[1] K[0] p](P[0,1] & K[1] q)", "[p][K[0] q]E[1,0]")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(models().filter(lambda m: m.agents >= 2), st.integers(0, 2 ** 40),
+       st.integers(0, 3))
+def test_keyed_reads_agree_on_cold_and_warm_caches(m, seed, dphi):
+    fresh = [lambda: rebuilt(m),   # an EDPAL view lowers depths below 0
+             lambda: update_edpal(rebuilt(m), of_depth(dphi),
+                                  seed % (1 << m.n))]
+    for make in fresh:
+        for f in KEYED:
+            for kind in KINDS:
+                model = make()
+                cold = check_labeling(model, f, kind).root_mask
+                assert model._masks   # the first run cached what it read
+                warm = check_labeling(model, f, kind).root_mask
+                want = mask_of(check_naive(model, s, f, kind)
+                               for s in model.states)
+                assert cold == warm == want, (f, kind)
 
 
 @settings(max_examples=120, deadline=None)
@@ -138,6 +202,17 @@ def test_long_unread_chain_reads_a_depth_mask_first():
     assert last.depth_mask(0, 1) == 0 and last.depth_mask(1, 0) == 0b11
     assert last.class_ids(0) == (0, 0)
     assert last.depth_mask(0, 1) == mask_of(map((1).__le__, last.depths(0)))
+
+
+def test_long_unread_edpal_chain_reads_a_depth_mask_first():
+    m = Model(2, ["s", "t"], {"s": ["p"]}, class_ids={0: [0, 0]})
+    chain = [m]
+    for _ in range(300):   # depth 1 and true everywhere: depths fall by 1
+        chain.append(update_edpal(chain[-1], parse("K[0] p | !p"), 0b11))
+    last = chain[-1]
+    assert last.depth_mask(0, -300) == 0b11 and last.depth_mask(1, -299) == 0
+    assert last.class_ids(0) == (0, 0) and last.class_ids(1) == (0, 1)
+    assert last.depths(1) == (-300, -300) and last.states == ("s", "t")
 
 
 def test_reduction_final_model_drops_its_parents(monkeypatch):

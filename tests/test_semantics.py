@@ -34,7 +34,6 @@ from depthlogic.semantics import (
     check,
     check_labeling,
     check_naive,
-    dpal_copy,
     holds_everywhere,
     update,
     update_adpal,
@@ -275,7 +274,7 @@ class TestUpdateImage:
             for i, s in enumerate(m.states):
                 heard = bool(pre >> i & 1)
                 if kind is SemanticsKind.DPAL:
-                    expected = dpal_copy(s, heard)
+                    expected = ("1." if heard else "0.") + s
                 elif kind is SemanticsKind.EDPAL:
                     expected = s if heard else None
                 else:

@@ -29,7 +29,6 @@ from depthlogic.syntax import (
     modal_depth,
     or_,
     parse,
-    simplify,
     size,
     to_text,
     translate_edpal,
@@ -75,6 +74,16 @@ class TestParse:
             parse("P[0,-1]")
         with pytest.raises(ParseError):
             parse("E[0,-1]")
+
+    @pytest.mark.parametrize("text,column", [
+        ("K[-1] m0", 3), ("Kinf[-2] p", 6), ("P[-1,0]", 3), ("E[0,-1]", 5)])
+    def test_negative_number_message_fits_agents_and_depths(self, text,
+                                                            column):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == (
+            "negative numbers are not allowed (agent indices and depths "
+            f"start at 0) (line 1, column {column})")
 
     def test_depth_at_least_requires_nonnegative(self):
         with pytest.raises(ValueError):
@@ -157,36 +166,6 @@ class TestModalDepth:
         for _ in range(300):
             f = random_formula(rng, spec, announce=True, kinf=True)
             assert modal_depth(f) == ref(f)
-
-
-class TestSimplify:
-    def test_double_negation(self):
-        assert simplify(Not(Not(P))) == P
-        assert simplify(Know(0, Not(Not(P)))) == Know(0, P)
-        assert simplify(P) == P
-
-    def test_no_double_negations_remain_and_depth_preserved(self):
-        from depthlogic.syntax import walk
-
-        rng = random.Random(13)
-        spec = RandomSpec()
-        for _ in range(300):
-            f = random_formula(rng, spec, announce=True, kinf=True)
-            g = simplify(f)
-            assert modal_depth(g) == modal_depth(f)
-            for node in walk(g):
-                assert not (isinstance(node, Not) and isinstance(node.sub, Not))
-
-    def test_equivalent_on_random_models(self):
-        rng = random.Random(17)
-        spec = RandomSpec(max_states=4)
-        for _ in range(100):
-            m = random_model(rng, spec)
-            f = random_formula(rng, spec, announce=True, kinf=True)
-            g = simplify(f)
-            for s in m.states:
-                assert check_naive(m, s, f, SemanticsKind.DPAL) == \
-                    check_naive(m, s, g, SemanticsKind.DPAL)
 
 
 class TestFTransform:
