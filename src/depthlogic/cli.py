@@ -1,5 +1,5 @@
 """Command-line front end: checking, updates, satisfiability, the muddy
-experiments, axiom suites, benchmarks and DOT export.
+experiments, axiom suites and DOT export.
 
 Exit codes: 0 ok, 1 property-suite violation, 2 formula/flag parse error,
 3 model validation error or a file that cannot be read or written.
@@ -10,24 +10,19 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
-import csv
 import functools
 import operator
-import random
 import sys
-import time
 
 from . import dot as dotmod
 from . import muddy as muddymod
 from . import props
 # validate is unused here, but the traced benchmark wraps cli.validate by name
-from .model import (ModelError, canonical_json, load_model, model_size,
-                    save_model, validate)
+from .model import (ModelError, canonical_json, load_model, save_model,
+                    validate)
 from .sat import sat_bruteforce
-from .semantics import (FragmentError, ModeError, SemanticsKind,
-                        announcement_steps, check, update)
-from .syntax import (Formula, ParseError, announcement_chain, parse, size,
-                     to_text)
+from .semantics import FragmentError, ModeError, SemanticsKind, check, update
+from .syntax import Formula, ParseError, announcement_chain, parse, to_text
 
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
@@ -146,7 +141,15 @@ def _depth_fn(spec_text: str, k: int, n: int) -> muddymod.DepthFn:
                                      for i, e in enumerate(exprs)])
 
 
-_MUDDY_FORMULAS = ["phi_k", "upper", "lower", "amnesia", "leakage"]
+_MUDDY_FORMULAS = {   # muddy --formula: each name's formula for k children
+    "phi_k": muddymod.phi_k,
+    "upper": lambda k: muddymod.implies(muddymod.upper_bound_hypothesis(k),
+                                        muddymod.phi_k(k)),
+    "lower": lambda k: muddymod.implies(muddymod.phi_k(k),
+                                        muddymod.lower_bound_conclusion(k)),
+    "amnesia": lambda k: muddymod.amnesia_formula(),
+    "leakage": lambda k: muddymod.leakage_formula(),
+}
 
 
 def cmd_muddy(args: argparse.Namespace) -> int:
@@ -156,18 +159,7 @@ def cmd_muddy(args: argparse.Namespace) -> int:
                 else _depth_fn(args.depths, k, n))
     inst = muddymod.build_muddy(n, k, depth_fn)
     kind = _semantics(args.semantics)
-    if args.which == "phi_k":
-        f = muddymod.phi_k(k)
-    elif args.which == "upper":
-        f = muddymod.implies(muddymod.upper_bound_hypothesis(k),
-                             muddymod.phi_k(k))
-    elif args.which == "lower":
-        f = muddymod.implies(muddymod.phi_k(k),
-                             muddymod.lower_bound_conclusion(k))
-    elif args.which == "amnesia":
-        f = muddymod.amnesia_formula()
-    else:
-        f = muddymod.leakage_formula()
+    f = _MUDDY_FORMULAS[args.which](k)
     result = check(inst.model, inst.initial, f, kind)
     print(f"{to_text(f)}")
     print("true" if result else "false")
@@ -201,46 +193,12 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if report.violations else 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    w = csv.writer(out)
-    w.writerow(["family", "case", "formula_size", "model_size",
-                "wall_time_s", "updated_size"])
-    if args.family in ("blowup", "all"):
-        rng = random.Random(args.seed)
-        spec = props.RandomSpec(seed=args.seed)
-        for i in range(args.cases):
-            m = props.random_model(rng, spec)
-            f = props.random_formula(rng, spec, announce=True)
-            t0 = time.perf_counter()
-            upd = update(m, f, SemanticsKind.DPAL)
-            dt = time.perf_counter() - t0
-            w.writerow(["blowup", i, size(f), model_size(m),
-                        f"{dt:.6f}", model_size(upd)])
-    if args.family in ("3sat", "all"):
-        for n in range(1, args.max_vars + 1):
-            inst = muddymod.ThreeSatInstance(
-                n, tuple((min(v + 1, n), min(v + 1, n), -min(v + 1, n))
-                         for v in range(min(n, 3))))
-            m, f = muddymod.reduce_3sat(inst)
-            t0 = time.perf_counter()
-            check(m, "s", f, SemanticsKind.DPAL)
-            dt = time.perf_counter() - t0
-            final, _ = announcement_steps(m, announcement_chain(f),
-                                          SemanticsKind.DPAL)[-1]
-            w.writerow(["3sat", n, size(f), model_size(m),
-                        f"{dt:.6f}", model_size(final)])
-    if out is not sys.stdout:
-        out.close()
-    return 0
-
-
 def cmd_export_dot(args: argparse.Namespace) -> int:
     m = load_model(args.model)
     kind = _semantics(args.semantics)
     announcements = [parse(a) for a in args.announce or []]
-    if args.state is not None and not m.has_state(args.state):
-        raise ModelError(f"unknown state {args.state!r}")
+    if args.state is not None:
+        m.state_index(args.state)   # refuses an unknown state
     if announcements:
         text = dotmod.sequence_to_dot(m, announcements, kind,
                                       state=args.state)
@@ -308,15 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draw only models with unambiguous depths")
     _add_semantics_flag(p, default=None)
     p.set_defaults(fn=cmd_axioms)
-
-    p = sub.add_parser("bench", help="CSV benchmarks")
-    p.add_argument("--family", default="all",
-                   choices=["blowup", "3sat", "all"])
-    p.add_argument("--cases", type=_at_least(1), default=100)
-    p.add_argument("--max-vars", type=_at_least(1), default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("export-dot", help="Graphviz export")
     p.add_argument("--model", required=True)

@@ -71,7 +71,7 @@ class Model:
     """
 
     __slots__ = ("agents", "n", "mode", "_states", "_val", "_ids", "_depth",
-                 "_index", "_succ", "_classes", "_masks", "_source")
+                 "_index", "_succ", "_masks", "_source")
 
     def __init__(self,
                  agents: int,
@@ -166,7 +166,6 @@ class Model:
         self._depth = depth
         self._index = index
         self._succ = succ
-        self._classes: dict[int, tuple[frozenset[str], ...]] = {}
         self._masks: dict[tuple, int] = {}
         self._source = source
 
@@ -210,14 +209,14 @@ class Model:
                 m._source = None
 
     def atoms(self, state: str) -> frozenset[str]:
-        return self._val[self._names()[state]]
+        return self._val[self.state_index(state)]
 
     def valuation(self) -> tuple[frozenset[str], ...]:
         """Each state's atoms, in state order."""
         return self._val
 
     def depth(self, agent: int, state: str) -> int:
-        return self.depths(agent)[self._names()[state]]
+        return self.depths(agent)[self.state_index(state)]
 
     def depths(self, agent: int) -> tuple[int, ...]:
         """The agent's depth at each state, in state order (a DPAL or EDPAL
@@ -238,7 +237,11 @@ class Model:
         return state in self._names()
 
     def state_index(self, state: str) -> int:
-        return self._names()[state]
+        """The state's index; ``ModelError`` for a state the model lacks."""
+        try:
+            return self._names()[state]
+        except KeyError:
+            raise ModelError(f"unknown state {state!r}") from None
 
     def class_ids(self, agent: int) -> tuple[int, ...]:
         """Per state index, the index of the first state of its class (see
@@ -256,20 +259,15 @@ class Model:
     def successors(self, agent: int, state: str) -> frozenset[str]:
         """States the agent considers possible at ``state`` (includes itself):
         its class in equivalence mode, its direct successors otherwise."""
-        mask = self.successor_masks(agent)[self._names()[state]]
+        mask = self.successor_masks(agent)[self.state_index(state)]
         return frozenset(map(self.states.__getitem__, bits_of(mask)))
 
     def classes(self, agent: int) -> tuple[frozenset[str], ...]:
         """The agent's partition (in reflexive mode: the connected components
         of the symmetrized relation), in state order."""
-        cached = self._classes.get(agent)
-        if cached is None:
-            groups: dict[int, list[str]] = {}
-            for s, c in zip(self.states, self.class_ids(agent)):
-                groups.setdefault(c, []).append(s)
-            cached = self._classes[agent] = tuple(map(frozenset,
-                                                      groups.values()))
-        return cached
+        states = self.states
+        return tuple(frozenset(map(states.__getitem__, members))
+                     for members in _members(self.class_ids(agent)).values())
 
     # -- bitmasks (bit i stands for states[i]) --
 
@@ -316,9 +314,8 @@ class Model:
         masks = self._succ.get(agent)
         if masks is None:
             ids = self.class_ids(agent)
-            members: dict[int, int] = {}
-            for i, c in enumerate(ids):
-                members[c] = members.get(c, 0) | 1 << i
+            bit = (1).__lshift__
+            members = {c: sum(map(bit, js)) for c, js in _members(ids).items()}
             masks = self._succ[agent] = tuple(map(members.__getitem__, ids))
         return masks
 
@@ -399,6 +396,14 @@ def bits_of(mask: int) -> Iterator[int]:
     return iter(bits)
 
 
+def _members(ids: Iterable[int]) -> dict[int, list[int]]:
+    """Per class id, in order of first appearance, its state indices."""
+    members: dict[int, list[int]] = {}
+    for i, c in enumerate(ids):
+        members.setdefault(c, []).append(i)
+    return members
+
+
 def _first_index_ids(column: Iterable[Hashable]) -> tuple[int, ...]:
     first: dict[Hashable, int] = {}
     return tuple(map(first.setdefault, column, count()))
@@ -457,8 +462,7 @@ class PointedModel:
     state: str
 
     def __post_init__(self) -> None:
-        if not self.model.has_state(self.state):
-            raise ModelError(f"unknown state {self.state!r}")
+        self.model.state_index(self.state)   # refuses an unknown state
 
 
 @dataclass(frozen=True)
@@ -525,11 +529,7 @@ def pair_walk(m: Model, agent: int) -> Iterator[list[int]]:
     class."""
     if m.mode == EQUIVALENCE:
         ids = m.class_ids(agent)
-        members: dict[int, list[int]] = {}
-        for i, c in enumerate(ids):
-            members.setdefault(c, []).append(i)
-        for i, c in enumerate(ids):
-            cls = members[c]
+        for i, cls in enumerate(map(_members(ids).__getitem__, ids)):
             p = bisect_left(cls, i)
             yield cls[:p] + cls[p + 1:]
     else:
@@ -634,6 +634,14 @@ def _each(items: Iterable, kind: type, what: str) -> None:
                         f"{', '.join(sorted(t.__name__ for t in wrong))}")
 
 
+def _agent(key: str) -> int:
+    """A section's agent key, refused unless an integer's own text: ``"01"``
+    would name agent 1 as ``"1"`` does, and replace its entry."""
+    if key != str(int(key)):
+        raise ValueError(f"agent key {key!r} is not an integer's text")
+    return int(key)
+
+
 def model_from_dict(data: Mapping) -> Model:
     """The model a file document describes.  Every field must have the JSON
     type the file format gives it: ``"states": "st"``, atoms given as one
@@ -658,12 +666,12 @@ def model_from_dict(data: Mapping) -> Model:
             if set(map(len, pairs)) - {2}:
                 raise ValueError("a pair must name two states")
             _each(chain.from_iterable(pairs), str, "a state")
-            rel[int(a)] = pairs
+            rel[_agent(a)] = pairs
         depth = {}
         for a, per in section("depth").items():
             _each(_typed(per, Mapping, "a depth map").values(), int,
                   "a depth")
-            depth[int(a)] = per
+            depth[_agent(a)] = per
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model document: {exc}") from exc
     index = dict(zip(states, count()))

@@ -59,50 +59,40 @@ def random_formula(rng: random.Random, spec: RandomSpec,
         size = rng.randint(1, spec.max_size)
     if agent is not None:
         depth_atoms = False
-    return _rand(rng, spec, size, announce, kinf, depth_atoms, agent)
 
+    def leaf() -> Formula:
+        roll = rng.randrange(35 if depth_atoms else 20)
+        if roll < 20:
+            return Atom(rng.choice(ATOM_POOL))
+        a = rng.randrange(spec.agents)
+        d = rng.randint(0, spec.max_depth)
+        return DepthAtLeast(a, d) if roll < 28 else DepthExact(a, d)
 
-def _leaf(rng: random.Random, spec: RandomSpec, depth_atoms: bool) -> Formula:
-    roll = rng.randrange(35 if depth_atoms else 20)
-    if roll < 20:
-        return Atom(rng.choice(ATOM_POOL))
-    a = rng.randrange(spec.agents)
-    d = rng.randint(0, spec.max_depth)
-    if roll < 28:
-        return DepthAtLeast(a, d)
-    return DepthExact(a, d)
+    def rand(size: int) -> Formula:
+        if size <= 1:
+            return leaf()
+        roll = rng.randrange(100)
+        if roll < 40:
+            if rng.randrange(3) == 0:
+                return Not(rand(size - 1))
+            split = rng.randint(1, size - 1)
+            return And(rand(split), rand(size - split))
+        if roll < 65:
+            a = agent if agent is not None else rng.randrange(spec.agents)
+            choices = ["K"]
+            if kinf:
+                choices.append("Kinf")
+            if announce and size >= 3:
+                choices.append("ann")
+            op = rng.choice(choices)
+            if op == "ann":
+                split = rng.randint(1, size - 2)
+                return Announce(rand(split), rand(size - 1 - split))
+            sub = rand(size - 1)
+            return Know(a, sub) if op == "K" else KnowInf(a, sub)
+        return leaf()
 
-
-def _rand(rng: random.Random, spec: RandomSpec, size: int, announce: bool,
-          kinf: bool, depth_atoms: bool, agent: int | None) -> Formula:
-    if size <= 1:
-        return _leaf(rng, spec, depth_atoms)
-    roll = rng.randrange(100)
-    if roll < 40:
-        if rng.randrange(3) == 0:
-            return Not(_rand(rng, spec, size - 1, announce, kinf,
-                             depth_atoms, agent))
-        split = rng.randint(1, size - 1)
-        return And(_rand(rng, spec, split, announce, kinf, depth_atoms, agent),
-                   _rand(rng, spec, size - split, announce, kinf,
-                         depth_atoms, agent))
-    if roll < 65:
-        a = agent if agent is not None else rng.randrange(spec.agents)
-        choices = ["K"]
-        if kinf:
-            choices.append("Kinf")
-        if announce and size >= 3:
-            choices.append("ann")
-        op = rng.choice(choices)
-        if op == "ann":
-            split = rng.randint(1, size - 2)
-            return Announce(
-                _rand(rng, spec, split, announce, kinf, depth_atoms, agent),
-                _rand(rng, spec, size - 1 - split, announce, kinf,
-                      depth_atoms, agent))
-        sub = _rand(rng, spec, size - 1, announce, kinf, depth_atoms, agent)
-        return Know(a, sub) if op == "K" else KnowInf(a, sub)
-    return _leaf(rng, spec, depth_atoms)
+    return rand(size)
 
 
 def _rgs_partition(rng: random.Random, n: int) -> list[int]:
@@ -141,14 +131,10 @@ def _draw(rng: random.Random, spec: RandomSpec, *, announce=False,
                           announce=announce, kinf=kinf, agent=agent)
 
 
-def _agent(rng: random.Random, spec: RandomSpec) -> int:
-    return rng.randrange(spec.agents)
-
-
 def _row(table: str, name: str, build) -> AxiomSchema:
     """A schema whose instances draw an agent, then ``build`` the rest."""
     def inst(rng: random.Random, spec: RandomSpec) -> Formula:
-        return build(rng, spec, _agent(rng, spec))
+        return build(rng, spec, rng.randrange(spec.agents))
     return AxiomSchema(name, table, inst)
 
 

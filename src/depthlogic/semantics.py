@@ -65,6 +65,7 @@ def check_naive(m: Model, state: str, f: Formula, kind: SemanticsKind) -> bool:
     if kind is SemanticsKind.DBEL and any(op == _ANNOUNCE for op, *_ in code):
         raise FragmentError(_NO_DBEL_ANNOUNCE)
     _require_mode(m, kind)
+    m.state_index(state)   # refuses an unknown state
     return _nv(m, state, f, kind)
 
 
@@ -516,8 +517,7 @@ def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
 
 def check(m: Model, state: str, f: Formula, kind: SemanticsKind) -> bool:
     """Labeling-based model check of a pointed model."""
-    if not m.has_state(state):
-        raise ModeError(f"unknown state {state!r}")
+    m.state_index(state)   # refuses an unknown state before labeling
     return check_labeling(m, f, kind).truth(state)
 
 

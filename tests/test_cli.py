@@ -1,8 +1,7 @@
-"""Command-line surface: exit codes, file round-trips, CSV and DOT output."""
+"""Command-line surface: exit codes, file round-trips and DOT output."""
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from pathlib import Path
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from depthlogic import dot, muddy, semantics
-from depthlogic.cli import main
+from depthlogic.cli import build_parser, main
 from depthlogic.model import Model, load_model, save_model, to_dict
 from depthlogic.muddy import build_muddy, canonical_depths
 
@@ -131,6 +130,8 @@ def test_formula_naming_unknown_agent_exits_3(model_file, capsys, argv):
     ("depth", {"0": [1]}),         # the in-memory sequence form
     ("depth", {"0": {"s": 1.7}}),  # coerced to 1 before
     ("states", "s"),               # coerced to ["s"] before
+    ("rel", {"0": [], "00": []}),  # "00" replaced agent 0's pairs before
+    ("depth", {" 0": {"s": 1}}),   # read as agent 0 before
 ])
 @pytest.mark.parametrize("argv", [
     ["check", "--state", "s", "--formula", "p"],
@@ -295,36 +296,6 @@ class TestAxioms:
         assert rc == 0
 
 
-class TestBench:
-    def test_blowup_csv(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rc = main(["bench", "--family", "blowup", "--cases", "20",
-                   "--out", str(out)])
-        assert rc == 0
-        rows = list(csv.DictReader(out.open()))
-        assert len(rows) == 20
-        for row in rows:
-            assert int(row["updated_size"]) <= 4 * int(row["model_size"])
-
-    def test_3sat_family(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rc = main(["bench", "--family", "3sat", "--max-vars", "3",
-                   "--out", str(out)])
-        assert rc == 0
-        rows = list(csv.DictReader(out.open()))
-        assert [row["family"] for row in rows] == ["3sat"] * 3
-
-    @pytest.mark.parametrize("bound", [["--cases", "0"],
-                                       ["--cases", "-3"],
-                                       ["--max-vars", "0"]])
-    def test_empty_family_bound_exits_2(self, bound, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        rc = main(["bench", *bound, "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert bound[0] in capsys.readouterr().err
-
-
 class TestExportDot:
     def test_single_model(self, three_world_file, capsys):
         rc = main(["export-dot", "--model", three_world_file,
@@ -379,15 +350,6 @@ class TestExportDot:
         assert captured.out == ""
 
 
-def test_determinism_under_seed(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for path in (a, b):
-        assert main(["bench", "--family", "3sat", "--max-vars", "2",
-                     "--seed", "7", "--out", str(path)]) == 0
-    rows = lambda p: [r[:4] + r[5:] for r in csv.reader(p.open())]  # noqa: E731
-    assert rows(a) == rows(b)  # identical apart from the timing column
-
-
 class TestCachedParser:
     """``build_parser`` is built once per process; each call of ``main``
     must still start from the parser's defaults."""
@@ -439,3 +401,13 @@ def test_updates_and_dot_label_instead_of_running_the_oracle(
                      "--out", str(tmp_path / "e.dot")]) == 0
         assert main(["muddy", "--k", "3", "--semantics", sem,
                      "--dot", str(tmp_path / "m.dot")]) == 0
+
+
+def test_readme_cli_table_lists_exactly_the_subcommands():
+    readme = Path(__file__).parents[1].joinpath("README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("\n## CLI\n", 1)[1].strip().split("\n\n")[0]
+    listed = re.findall(r"^\| `([\w-]+)` \|", table, re.MULTILINE)
+    commands = next(a for a in build_parser()._actions
+                    if a.dest == "command")
+    assert listed == list(commands.choices)

@@ -11,13 +11,14 @@ import random
 
 import pytest
 
-from depthlogic.model import EQUIVALENCE, Model, ModelError, canonical_json
+from depthlogic.model import (EQUIVALENCE, Model, ModelError, PointedModel,
+                              canonical_json)
 from depthlogic.muddy import build_muddy, canonical_depths, phi_k
 from depthlogic.props import RandomSpec, random_formula, random_model
 from depthlogic.sat import _set_partitions, _subsets, enumerate_models
 from depthlogic.semantics import (SemanticsKind, check, check_labeling,
-                                  update, update_adpal, update_dpal,
-                                  update_edpal)
+                                  check_naive, update, update_adpal,
+                                  update_dpal, update_edpal)
 from depthlogic.syntax import (TRUE_ATOM, Announce, agents_of, atoms_of,
                                parse, walk)
 
@@ -265,16 +266,22 @@ def test_long_unread_chain_builds_without_recursing():
                  SemanticsKind.DPAL)
 
 
-# -- agents the model lacks --
+# -- agents and states the model lacks --
 
-@pytest.mark.parametrize("agent", [5, -1])
-@pytest.mark.parametrize("which", ["base", "dpal", "reflexive"])
-def test_unknown_agent_refused_on_every_accessor(which, agent):
+def muddy_3(which: str) -> Model:
+    """M_3, its DPAL product or its (reflexive-mode) ADPAL update."""
     m = build_muddy(3, 3, canonical_depths(3)).model
     if which == "dpal":
         m = update_dpal(m, parse("!K[2] m2"))
     elif which == "reflexive":
         m = update_adpal(m, parse("!K[2] m2"))
+    return m
+
+
+@pytest.mark.parametrize("agent", [5, -1])
+@pytest.mark.parametrize("which", ["base", "dpal", "reflexive"])
+def test_unknown_agent_refused_on_every_accessor(which, agent):
+    m = muddy_3(which)
     state = m.states[0]
     for read in (m.class_ids, m.depths, m.classes, m.pairs,
                  m.successor_masks, lambda a: m.depth_mask(a, 0),
@@ -282,3 +289,18 @@ def test_unknown_agent_refused_on_every_accessor(which, agent):
                  lambda a: m.successors(a, state)):
         with pytest.raises(ModelError, match=f"^unknown agent {agent}$"):
             read(agent)
+
+
+@pytest.mark.parametrize("which", ["base", "dpal", "reflexive"])
+def test_unknown_state_refused_on_every_entry_point(which):
+    m = muddy_3(which)
+    kind = SemanticsKind.ADPAL if which == "reflexive" else SemanticsKind.DPAL
+    true = parse("true")   # reads no state: the name is refused up front
+    lab = check_labeling(m, true, kind)
+    for read in (m.state_index, m.atoms, lambda s: m.depth(0, s),
+                 lambda s: m.successors(0, s),
+                 lambda s: check(m, s, true, kind),
+                 lambda s: check_naive(m, s, true, kind), lab.truth,
+                 lambda s: PointedModel(m, s)):
+        with pytest.raises(ModelError, match="^unknown state 'zzz'$"):
+            read("zzz")

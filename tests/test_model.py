@@ -332,6 +332,18 @@ class TestSerialization:
         with pytest.raises(ModelError, match="malformed model document"):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("alias", ["01", " 1", "1 ", "1_0", "+1"])
+    def test_agent_key_that_is_not_an_integers_text_rejected(self, alias):
+        # int() reads each alias as agent 1: after "1", it replaced agent 1's
+        # pairs or depths without a word
+        doc = {"agents": 2, "states": ["a", "b"]}
+        for section in ({"rel": {"1": [["a", "b"]], alias: []}},
+                        {"rel": {alias: [["a", "b"]]}},
+                        {"depth": {"1": {"a": 1}, alias: {}}},
+                        {"depth": {alias: {"a": 1}}}):
+            with pytest.raises(ModelError, match="malformed model document"):
+                model_from_dict({**doc, **section})
+
     def test_document_that_is_not_an_object_rejected(self):
         with pytest.raises(ModelError, match="malformed model document"):
             loads_model("[1, 2]")
