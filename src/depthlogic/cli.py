@@ -36,7 +36,7 @@ def _semantics(name: str) -> SemanticsKind:
 def _read_formula(args: argparse.Namespace) -> Formula:
     text = args.formula
     if args.formula_file:
-        with open(args.formula_file) as fh:
+        with open(args.formula_file, encoding="utf-8") as fh:
             text = fh.read()
     if text is None:
         raise ParseError("no formula given (use --formula or --formula-file)",
@@ -166,7 +166,7 @@ def cmd_muddy(args: argparse.Namespace) -> int:
     if args.dot:
         text = dotmod.sequence_to_dot(inst.model, announcement_chain(f),
                                       kind, state=inst.initial)
-        with open(args.dot, "w") as fh:
+        with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(text)
     return 0
 
@@ -205,7 +205,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     else:
         text = dotmod.model_to_dot(m, designated=args.state)
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -6,10 +6,12 @@ bottom-up subformula labeling algorithm by running a post-order program over
 the formula's distinct node objects, compiled once and kept on the formula.
 Labels and updates are not cached across calls; within one, each node
 object is labeled once per model and each (model, announced node object)
-update runs once.  Each label is one ``int`` bitmask over the states of its
-model (bit i for ``states[i]``), so ``!`` and ``&`` are single integer
-operations.  ``K``/``Kinf`` drop the classes that reach outside the label
-(equivalence mode) or test each state's successor mask (reflexive mode),
+update runs once, unless the announcement holds nowhere: then ``[phi]psi``
+is true everywhere and no update is built.  Each label is one ``int``
+bitmask over the states of its model (bit i for ``states[i]``), so ``!`` and
+``&`` are single integer operations.  ``K``/``Kinf`` drop the classes that
+reach outside the label (equivalence mode) or test each state's successor
+mask (reflexive mode), reading no relation for an empty or full label,
 and ``K`` is gated by the model's cached depth masks, looked up by the keys
 the program carries.  Updates take the announcement's truth as such a mask
 (``pre``) and its modal depth; both checkers, the DOT export and the 3-SAT
@@ -367,7 +369,8 @@ class Labeling:
 
     ``runs`` keeps the model and slots of each program run: first the
     formula's on ``model``, whose last slot is ``root_mask``, then one per
-    (model, announced node object) for the bodies on the updated model.
+    (model, announced node object) for the bodies on the updated model, if
+    the announcement holds somewhere (one that holds nowhere adds no run).
     Ids number the slots run by run, in post-order within a run, so each
     node object, leaves included, has one id per model it is labeled on.
     Bit i of ``masks[nid]`` stands for ``states[nid][i]``.  ``masks``,
@@ -417,10 +420,12 @@ class _Rows(Mapping):
 
 
 def _known(model: Model, agent: int, sub: int) -> int:
-    """States all of whose agent-successors lie in ``sub``."""
+    """States all of whose agent-successors lie in ``sub``.  Each state is
+    its own successor, so an empty or full ``sub`` is its own answer, found
+    without reading the agent's relation (a lazy update builds none)."""
     full = (1 << model.n) - 1
-    if sub == full:
-        return full
+    if not sub or sub == full:
+        return sub
     out = full ^ sub
     if model.mode == EQUIVALENCE:
         # all but the classes with a state outside sub; read from the class
@@ -470,6 +475,9 @@ def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
             if kind is SemanticsKind.DBEL:
                 raise FragmentError(_NO_DBEL_ANNOUNCE)
             pre = slots[a]
+            if not pre:   # [phi]psi holds wherever phi fails: everywhere
+                put(full)
+                continue
             announced, body, dphi = b
             key = (id(model), id(announced))
             done = updates.get(key)
@@ -505,9 +513,11 @@ def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
     """Label f's subformulas bottom-up, each node object once per model.
 
     f keeps its compiled program for later checks on any model.  Within a
-    call each (model, announced node object) update runs once; its memo is
-    keyed by ids, unique while it lives (the program holds every node,
-    ``runs`` every updated model), and is dropped on return with the labels."""
+    call each (model, announced node object) update runs once, and none for
+    an announcement that holds nowhere; ``K`` over an empty or full body
+    reads no relation.  The update memo is keyed by ids, unique while it
+    lives (the program holds every node, ``runs`` every updated model), and
+    is dropped on return with the labels."""
     prog = _program(m, f)
     _require_mode(m, kind)
     runs: list[tuple[Model, list[int]]] = []

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import depthlogic
 from depthlogic import dot, muddy, semantics
 from depthlogic.cli import build_parser, main
 from depthlogic.model import Model, load_model, save_model, to_dict
@@ -350,6 +356,28 @@ class TestExportDot:
         assert captured.out == ""
 
 
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """Formula files and DOT output are UTF-8, as model files are, whatever
+    the locale's encoding."""
+    model = tmp_path / "accent.json"
+    save_model(Model(agents=1, states=["\u00e9t\u00e9"], val={}), str(model))
+    formula = tmp_path / "accent.txt"
+    formula.write_text("K[0] \u00e9", encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0", PYTHONPATH=os.path.dirname(
+                   os.path.dirname(depthlogic.__file__)))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "depthlogic.cli", *argv],
+                              env=env, capture_output=True).returncode
+
+    out = tmp_path / "accent.dot"
+    assert run("export-dot", "--model", str(model), "--out", str(out)) == 0
+    assert "\u00e9t\u00e9" in out.read_text(encoding="utf-8")
+    assert run("check", "--model", str(model), "--state", "\u00e9t\u00e9",
+               "--formula-file", str(formula)) == 2
+
+
 class TestCachedParser:
     """``build_parser`` is built once per process; each call of ``main``
     must still start from the parser's defaults."""
@@ -411,3 +439,75 @@ def test_readme_cli_table_lists_exactly_the_subcommands():
     commands = next(a for a in build_parser()._actions
                     if a.dest == "command")
     assert listed == list(commands.choices)
+
+
+# -- fuzzing the CLI in process --
+
+_TOKENS = ("p", "q", "true", "false", "!", "&", "|", "->", "<->", "(", ")",
+           "[", "]", "<", ">", "K[0]", "K[1]", "K[3]", "Kinf[0]", "E[0,1]",
+           "P[1,0]", "K[", ",", "0")
+_WELL_FORMED = st.recursive(
+    st.sampled_from(("p", "q", "true", "false", "E[0,1]", "P[1,0]")),
+    lambda f: st.one_of(
+        f.map("!{}".format),
+        st.tuples(f, st.sampled_from(("&", "|", "->")), f).map(
+            lambda t: "({} {} {})".format(*t)),
+        st.tuples(st.sampled_from(("K", "Kinf")), st.integers(0, 3), f).map(
+            lambda t: "{}[{}] {}".format(*t)),
+        st.tuples(f, f).map(lambda t: "[{}] {}".format(*t)),
+        st.tuples(f, f).map(lambda t: "<{}> {}".format(*t))),
+    max_leaves=6)
+_FORMULAS = st.one_of(_WELL_FORMED, st.lists(
+    st.sampled_from(_TOKENS), min_size=1, max_size=8).map(" ".join))
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _model_docs(draw):
+    """A small model document: 1-3 agents, at most 4 states, now and then
+    with one field replaced by arbitrary JSON."""
+    agents = draw(st.integers(1, 3))
+    states = ["s0"] + draw(st.lists(st.sampled_from(("s1", "s2", "s3")),
+                                    max_size=3, unique=True))
+    keys = st.sampled_from([str(a) for a in range(agents)])
+    named = st.sampled_from(states)
+    doc = {"agents": agents, "states": states,
+           "mode": draw(st.sampled_from(("equivalence",) * 2
+                                        + ("reflexive",))),
+           "val": draw(st.dictionaries(named, st.lists(
+               st.sampled_from(("p", "q")), max_size=2, unique=True))),
+           "rel": draw(st.dictionaries(keys, st.lists(
+               st.lists(named, min_size=2, max_size=2), max_size=4))),
+           "depth": draw(st.dictionaries(keys, st.dictionaries(
+               named, st.integers(0, 3))))}
+    field = draw(st.sampled_from([None] * 12 + sorted(doc)))
+    if field is not None:
+        doc[field] = draw(_ANY_JSON)
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore:agent .* relation was not closed")
+@settings(max_examples=300, deadline=None)
+@given(doc=_model_docs(), formula=_FORMULAS,
+       command=st.sampled_from(("check", "update", "export-dot")),
+       sem=st.sampled_from(("DBEL", "DPAL", "EDPAL", "ADPAL")),
+       state=st.sampled_from(("s0", "s1", "zz")))
+def test_cli_ends_with_a_documented_exit_code(tmp_path_factory, doc, formula,
+                                              command, sem, state):
+    """Any small model document and formula text ends with exit 0, 2 or 3
+    and lets no exception escape."""
+    work = tmp_path_factory.mktemp("fuzz")
+    model = work / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, "--model", str(model), "--semantics", sem]
+    if command == "check":
+        argv += ["--state", state, f"--formula={formula}"]
+    elif command == "update":
+        argv += ["--out", str(work / "out.json"), f"--formula={formula}"]
+    else:
+        argv += [f"--announce={formula}", "--out", str(work / "out.dot")]
+    assert main(argv) in (0, 2, 3)

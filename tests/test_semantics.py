@@ -584,6 +584,72 @@ class TestProgram:
         assert calls == []   # no announcement was reached
 
 
+def _small_models():
+    """An equivalence-mode and a reflexive-mode model on atoms p and q."""
+    states = ["a", "b", "c"]
+    val = {"a": ["p"], "b": ["p", "q"], "c": ["q"]}
+    depth = {0: [1, 2, 1], 1: [0, 1, 2]}
+    eq = Model(agents=2, states=states, val=val, depth=depth,
+               class_ids={0: [0, 0, 1], 1: [0, 1, 1]})
+    refl = Model(agents=2, states=states, val=val, depth=depth,
+                 mode=REFLEXIVE, successors={
+                     0: {"a": ["a", "b"], "b": ["a", "b", "c"], "c": ["c"]},
+                     1: {"a": ["a"], "b": ["b", "c"], "c": ["b", "c"]}})
+    return eq, refl
+
+
+_EMPTY = parse("p & !p")   # one announced node shared by two bodies
+
+
+class TestShortcuts:
+    """An announcement that holds nowhere is labeled true everywhere with
+    no update, and ``K`` over an empty or full body reads no relation."""
+
+    @pytest.mark.parametrize("f", [
+        parse("[p & !p] K[0] q"), parse("[false][q] K[0] p"),
+        And(Announce(_EMPTY, Know(0, Atom("q"))),
+            Announce(_EMPTY, Not(Atom("p"))))], ids=["K", "nested", "shared"])
+    def test_empty_announcement_builds_no_update(self, f, monkeypatch):
+        calls = _counting_update(monkeypatch)
+        eq, refl = _small_models()
+        for m, kind in [(eq, k) for k in ALL_KINDS] + [
+                (refl, SemanticsKind.ADPAL)]:
+            lab = _agrees_with_naive(m, f, kind)
+            assert lab.root_mask == (1 << m.n) - 1
+            assert len(lab.runs) == 1
+        assert calls == []
+        with pytest.raises(FragmentError):
+            check_labeling(eq, f, SemanticsKind.DBEL)
+
+    def test_unknown_agent_under_empty_announcement_refused(self):
+        eq, refl = _small_models()
+        f = parse("[p & !p] K[5] q")
+        for m, kind in ((eq, SemanticsKind.DPAL), (refl, SemanticsKind.ADPAL)):
+            with pytest.raises(ModelError, match="unknown agent 5"):
+                check_labeling(m, f, kind)
+
+    @pytest.mark.parametrize("text", ["K[{a}] false", "K[{a}] true",
+                                      "K[{a}] (p & !p)"])
+    @pytest.mark.parametrize("kind", [SemanticsKind.DPAL,
+                                      SemanticsKind.EDPAL])
+    def test_empty_or_full_body_builds_no_class_ids(self, text, kind):
+        eq, _ = _small_models()
+        for a in range(eq.agents):
+            f = parse(text.format(a=a))
+            m = update(eq, parse("p"), kind)
+            lab = check_labeling(m, f, kind)
+            assert a not in m._ids
+            assert lab.table[lab.root] == {
+                s: check_naive(m, s, f, kind) for s in m.states}
+
+    def test_known_of_nothing_is_nothing(self):
+        eq, refl = _small_models()
+        for m in (eq, refl, Model(agents=1, states=[], val={}),
+                  Model(agents=1, states=[], val={}, mode=REFLEXIVE)):
+            for a in range(m.agents):
+                assert semantics._known(m, a, 0) == 0
+
+
 def test_checks_leave_no_reference_cycles():
     m = build_muddy(5, 5, canonical_depths(5)).model
     formulas = [phi_k(5), implies(upper_bound_hypothesis(5), phi_k(5)),
