@@ -292,11 +292,11 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("parse error: formula nested too deeply", file=sys.stderr)
         return EXIT_PARSE
+    except (OSError, UnicodeDecodeError) as exc:   # before its ValueError base
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (ModelError, ModeError, FragmentError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

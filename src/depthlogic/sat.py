@@ -35,13 +35,6 @@ class Closure:
     d_max: int
     agents: tuple[int, ...]
 
-    def __contains__(self, f: Formula) -> bool:
-        return f in self._set
-
-    @property
-    def _set(self) -> frozenset[Formula]:
-        return frozenset(self.formulas)
-
 
 def closure(gamma: Iterable[Formula]) -> Closure:
     seen: dict[Formula, None] = {}  # insertion-ordered set
@@ -98,7 +91,7 @@ def is_type(gamma_subset: Iterable[Formula], cl: Closure
     """None when the subset satisfies the seven type rules, otherwise the
     lowest-numbered violated rule with witness formulas."""
     gamma = frozenset(gamma_subset)
-    clset = cl._set
+    clset = frozenset(cl.formulas)
     for g in gamma:
         if g not in clset:
             raise ValueError(f"subset member {g!r} outside the closure")

@@ -195,29 +195,24 @@ class Fragment(Enum):
     LA = "La"        # no depth atoms, no modal operators for agents != a
 
 
+# node classes each fragment excludes
+_EXCLUDED = {Fragment.L: (KnowInf,), Fragment.LINF: (),
+             Fragment.H: (KnowInf, Announce), Fragment.HINF: (Announce,),
+             Fragment.LA: (DepthExact, DepthAtLeast)}
+
+
 def in_fragment(f: Formula, fragment: Fragment, agent: int | None = None) -> bool:
     """Syntactic fragment membership.
 
     LA requires ``agent``; it excludes depth atoms and modal operators for
     other agents everywhere, including inside announcements.
     """
-    if fragment is Fragment.LA:
-        if agent is None:
-            raise ValueError("fragment La needs an agent")
-        for g in walk(f):
-            if isinstance(g, (DepthExact, DepthAtLeast)):
-                return False
-            if isinstance(g, (Know, KnowInf)) and g.agent != agent:
-                return False
-        return True
-    no_kinf = fragment in (Fragment.L, Fragment.H)
-    no_announce = fragment in (Fragment.H, Fragment.HINF)
-    for g in walk(f):
-        if no_kinf and isinstance(g, KnowInf):
-            return False
-        if no_announce and isinstance(g, Announce):
-            return False
-    return True
+    if fragment is Fragment.LA and agent is None:
+        raise ValueError("fragment La needs an agent")
+    gated = (Know, KnowInf) if fragment is Fragment.LA else ()
+    return not any(isinstance(g, _EXCLUDED[fragment])
+                   or isinstance(g, gated) and g.agent != agent
+                   for g in walk(f))
 
 
 # --- precondition transform for announcement axioms in the ambiguous setting ---
@@ -327,161 +322,111 @@ class ParseError(ValueError):
         self.column = column
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<int>\d+)
+# one token after optional whitespace; ``bad`` takes any character that
+# starts no token, so every match ends where the next one starts
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<iff><->)
-  | (?P<implies>->)
-  | (?P<punct>[!&|()\[\],<>])
-""", re.VERBOSE)
+  | (?P<op><->|->|[!&|()\[\],<>])
+  | (?P<eof>\Z)
+  | (?P<bad>.))""", re.VERBOSE)
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            ch = text[pos]
-            if ch == "-" and pos + 1 < len(text) and text[pos + 1].isdigit():
-                raise ParseError("negative numbers are not allowed (agent "
-                                 "indices and depths start at 0)", line, col)
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind != "ws":
-            if kind == "ident":
-                tokens.append(_Token(tok if tok in RESERVED_WORDS else "ident",
-                                     tok, line, col))
-            elif kind == "int":
-                tokens.append(_Token("int", tok, line, col))
-            else:
-                tokens.append(_Token(tok, tok, line, col))
-        for ch in tok:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+# token -> (binding level, builder, groups right)
+_BINARY = {"<->": (1, iff, False), "->": (2, implies, True),
+           "|": (3, or_, False), "&": (4, And, False)}
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """Tokens are (kind, text, offset) tuples, a reserved word or an operator
+    being its own kind. All the text is tokenized before parsing starts, so
+    a bad character is reported before any grammar error."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def __init__(self, text: str):
+        self.text, self.tokens, self.pos = text, [], 0
+        kind, end = None, 0
+        while kind != "eof":
+            m = _TOKEN_RE.match(text, end)
+            kind, end = m.lastgroup, m.end()
+            tok, offset = m[kind], m.start(kind)
+            if kind == "bad":
+                if tok == "-" and text[end:end + 1].isdigit():
+                    raise self.error("negative numbers are not allowed (agent "
+                                     "indices and depths start at 0)", offset)
+                raise self.error(f"unexpected character {tok!r}", offset)
+            if kind == "op" or tok in RESERVED_WORDS:
+                kind = tok
+            self.tokens.append((kind, tok, offset))
 
-    def next(self) -> _Token:
+    def error(self, message: str, offset: int) -> ParseError:
+        text = self.text
+        return ParseError(message, text.count("\n", 0, offset) + 1,
+                          offset - text.rfind("\n", 0, offset))
+
+    def next(self, kind: str | None = None) -> tuple[str, str, int]:
+        """Consume the next token, which must be of ``kind`` when given."""
         tok = self.tokens[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise self.error(f"expected {kind!r}, found "
+                             f"{tok[1] or 'end of input'!r}", tok[2])
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.next()
-
     def parse(self) -> Formula:
-        f = self.iff()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+        f = self.binary()
+        kind, text, offset = self.tokens[self.pos]
+        if kind != "eof":
+            raise self.error(f"unexpected {text!r}", offset)
         return f
 
-    def iff(self) -> Formula:
-        f = self.implication()
-        while self.peek().kind == "<->":
-            self.next()
-            f = iff(f, self.implication())
-        return f
-
-    def implication(self) -> Formula:
-        f = self.disjunction()
-        if self.peek().kind == "->":
-            self.next()
-            return implies(f, self.implication())
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek().kind == "|":
-            self.next()
-            f = or_(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
+    def binary(self, level: int = 1) -> Formula:
+        """Operands joined by binary connectives binding at ``level`` or
+        tighter (precedence climbing)."""
         f = self.unary()
-        while self.peek().kind == "&":
-            self.next()
-            f = And(f, self.unary())
+        while (op := _BINARY.get(self.tokens[self.pos][0])) and op[0] >= level:
+            bind, build, right = op
+            self.pos += 1
+            f = build(f, self.binary(bind if right else bind + 1))
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.next()
+        kind, text, offset = self.next()
+        if kind == "!":
             return Not(self.unary())
-        if tok.kind in ("K", "Kinf"):
-            self.next()
-            self.expect("[")
-            agent = int(self.expect("int").text)
-            self.expect("]")
-            node = Know if tok.kind == "K" else KnowInf
-            return node(agent, self.unary())
-        if tok.kind == "[":
-            self.next()
-            announced = self.iff()
-            self.expect("]")
-            return Announce(announced, self.unary())
-        if tok.kind == "<":
-            self.next()
-            announced = self.iff()
-            self.expect(">")
-            return dual(announced, self.unary())
-        return self.primary()
+        if kind in ("K", "Kinf"):
+            self.next("[")
+            agent = int(self.next("int")[1])
+            self.next("]")
+            return (Know if kind == "K" else KnowInf)(agent, self.unary())
+        if kind in ("[", "<"):
+            announced = self.binary()
+            self.next("]" if kind == "[" else ">")
+            return (Announce if kind == "[" else dual)(announced, self.unary())
+        return self.primary(kind, text, offset)
 
-    def primary(self) -> Formula:
-        tok = self.next()
-        if tok.kind == "(":
-            f = self.iff()
-            self.expect(")")
+    def primary(self, kind: str, text: str, offset: int) -> Formula:
+        if kind == "(":
+            f = self.binary()
+            self.next(")")
             return f
-        if tok.kind in ("E", "P"):
-            self.expect("[")
-            agent = int(self.expect("int").text)
-            self.expect(",")
-            d = int(self.expect("int").text)
-            self.expect("]")
-            return DepthExact(agent, d) if tok.kind == "E" else DepthAtLeast(agent, d)
-        if tok.kind == "true":
+        if kind in ("E", "P"):
+            self.next("[")
+            agent = int(self.next("int")[1])
+            self.next(",")
+            d = int(self.next("int")[1])
+            self.next("]")
+            return DepthExact(agent, d) if kind == "E" else DepthAtLeast(agent, d)
+        if kind == "true":
             return TOP
-        if tok.kind == "false":
+        if kind == "false":
             return BOTTOM
-        if tok.kind == "ident":
-            return Atom(tok.text)
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
+        if kind == "ident":
+            return Atom(text)
+        raise self.error(f"unexpected {text or 'end of input'!r}", offset)
 
 
 def parse(text: str) -> Formula:
     """Parse a formula; derived connectives are desugared."""
-    return _Parser(_tokenize(text)).parse()
+    return _Parser(text).parse()
 
 
 # --- printer ---

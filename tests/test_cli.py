@@ -378,6 +378,20 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
                "--formula-file", str(formula)) == 2
 
 
+def test_files_that_are_not_utf8_exit_3_as_file_errors(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    save_model(Model(agents=1, states=["s"], val={}), str(model))
+    formula = tmp_path / "latin1.txt"
+    formula.write_bytes(b"K[0] \xe9")
+    assert main(["check", "--model", str(model), "--state", "s",
+                 "--formula-file", str(formula)]) == 3
+    assert capsys.readouterr().err.startswith("file error: ")
+    model.write_bytes(b'{"agents": 1, "states": ["\xe9"]}')
+    assert main(["check", "--model", str(model), "--state", "s",
+                 "--formula", "p"]) == 3
+    assert capsys.readouterr().err.startswith("file error: ")
+
+
 class TestCachedParser:
     """``build_parser`` is built once per process; each call of ``main``
     must still start from the parser's defaults."""

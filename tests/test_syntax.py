@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import depthlogic
 
 from depthlogic.props import RandomSpec, random_formula, random_model
 from depthlogic.semantics import SemanticsKind, check_naive
@@ -63,11 +68,39 @@ class TestParse:
         assert check_trivially_true(parse("true"))
         assert parse("false") == Not(parse("true"))
 
-    def test_error_position(self):
+    @pytest.mark.parametrize("text,message,line,column", [
+        ("p & & q", "unexpected '&'", 1, 5),
+        ("p &\n\tq\n\t\t& & r", "unexpected '&'", 3, 5),
+        ("K[0]\n\t p @", "unexpected character '@'", 2, 5),
+        ("p \u00e9", "unexpected character '\u00e9'", 1, 3),
+        ("\n\n\tp)", "unexpected ')'", 3, 3),
+        ("p q", "unexpected 'q'", 1, 3),
+        ("p &", "unexpected 'end of input'", 1, 4),
+        ("", "unexpected 'end of input'", 1, 1),
+        ("K[0 p", "expected ']', found 'p'", 1, 5),
+        ("K[p] q", "expected 'int', found 'p'", 1, 3),
+        ("E[0 1]", "expected ',', found '1'", 1, 5),
+        ("(p", "expected ')', found 'end of input'", 1, 3),
+        ("<p] q", "expected '>', found ']'", 1, 3),
+        ("P[0,\n  -3]", "negative numbers are not allowed (agent indices "
+         "and depths start at 0)", 2, 3),
+    ])
+    def test_error_message_and_position(self, text, message, line, column):
         with pytest.raises(ParseError) as exc:
-            parse("p & & q")
-        assert exc.value.line == 1
-        assert exc.value.column == 5
+            parse(text)
+        assert str(exc.value) == f"{message} (line {line}, column {column})"
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+    def test_nesting_accepted_at_the_default_recursion_limit(self):
+        # called from the top level of a fresh interpreter, so the test
+        # runner's own frames do not count against the limit
+        code = ("from depthlogic.syntax import parse\n"
+                "parse('(' * 164 + 'p' + ')' * 164)\n"
+                "parse('!' * 987 + 'p')\n"
+                "parse('p -> ' * 988 + 'p')\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(depthlogic.__file__)))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ParseError):
@@ -273,6 +306,10 @@ class TestFragments:
         assert not in_fragment(DepthAtLeast(0, 1), Fragment.LA, agent=0)
         # other agents are excluded inside announcements too
         assert not in_fragment(Announce(Know(1, P), Q), Fragment.LA, agent=0)
+
+    def test_la_needs_an_agent(self):
+        with pytest.raises(ValueError, match="fragment La needs an agent"):
+            in_fragment(P, Fragment.LA)
 
 
 def test_max_depth_constant():
