@@ -3,6 +3,7 @@ reduction used for the NP-hardness benchmark."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -10,7 +11,7 @@ from typing import Callable, Iterator
 from .model import EQUIVALENCE, Model
 # check_naive is unused here, but the traced benchmark wraps
 # muddy.check_naive by name
-from .semantics import (SemanticsKind, _known, announcement_steps, check,
+from .semantics import (SemanticsKind, announcement_steps, check,
                         check_labeling, check_naive)
 from .syntax import (And, Announce, Atom, DepthAtLeast, Formula, Know,
                      KnowInf, Not, TOP, announcement_chain, conj, disj, dual,
@@ -132,15 +133,14 @@ def lower_bound_sweep(k: int, max_depth: int = 3) -> SweepReport:
     for values in itertools.product(range(max_depth + 1), repeat=k):
         model = base.model.restrict(depth={a: (d,) * n
                                            for a, d in enumerate(values)})
-        inst = MuddyInstance(n=k, k=k, model=model)
         report.cases += 1
-        if not check(inst.model, inst.initial, f, SemanticsKind.DPAL):
+        if not check(model, base.initial, f, SemanticsKind.DPAL):
             report.violations += 1
             report.witnesses.append((values, "implication"))
-        if values[0] < k - 1:
-            if check(inst.model, inst.initial, phi, SemanticsKind.DPAL):
-                report.violations += 1
-                report.witnesses.append((values, "contrapositive"))
+        if values[0] < k - 1 and check(model, base.initial, phi,
+                                       SemanticsKind.DPAL):
+            report.violations += 1
+            report.witnesses.append((values, "contrapositive"))
     return report
 
 
@@ -164,16 +164,11 @@ def proposition_matrix() -> dict[str, dict[str, bool]]:
     semantics."""
     inst = build_muddy(3, 3, canonical_depths(3))
     demoted = build_muddy(3, 3, constant_depths([1, 1, 0]))
-    kinds = {"DPAL": SemanticsKind.DPAL, "EDPAL": SemanticsKind.EDPAL,
-             "ADPAL": SemanticsKind.ADPAL}
-    out: dict[str, dict[str, bool]] = {}
-    for name, kind in kinds.items():
-        out[name] = {
-            "amnesia": check(inst.model, inst.initial,
-                             amnesia_formula(), kind),
-            "leakage": check(inst.model, inst.initial,
-                             leakage_formula(), kind),
-        }
+    out = {kind.value: {
+        "amnesia": check(inst.model, inst.initial, amnesia_formula(), kind),
+        "leakage": check(inst.model, inst.initial, leakage_formula(), kind)}
+        for kind in (SemanticsKind.DPAL, SemanticsKind.EDPAL,
+                     SemanticsKind.ADPAL)}
     out["ADPAL"]["leakage_shallow"] = check(
         demoted.model, demoted.initial, leakage_formula(observer=0),
         SemanticsKind.ADPAL)
@@ -191,10 +186,15 @@ class ThreeSatInstance:
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        lits = set(range(-self.n, self.n + 1)) - {0}
+        lits = _literals(self.n)
         for cl in self.clauses:
             if len(cl) != 3 or not lits.issuperset(cl):
                 raise ValueError(f"bad clause {cl!r}")
+
+
+@functools.lru_cache(maxsize=8)
+def _literals(n: int) -> frozenset[int]:
+    return frozenset(range(-n, n + 1)) - {0}
 
 
 def truth_table_sat(inst: ThreeSatInstance) -> bool:
@@ -219,16 +219,12 @@ def _clause(cl: tuple[int, ...]) -> Formula:
                   else Not(DepthAtLeast(abs(lit), 1)) for lit in cl))
 
 
-def _phi_prime(inst: ThreeSatInstance) -> Formula:
-    return conj(*map(_clause, inst.clauses))
-
-
 def reduce_3sat(inst: ThreeSatInstance) -> tuple[Model, Formula]:
     """One-state model and announcement chain whose DPAL truth value equals
     satisfiability: each announcement splits agent i's depth budget into a
     zero/non-zero branch, and a depth-0 observer then scans all branches."""
     n = inst.n
-    body: Formula = Not(Know(0, Not(_phi_prime(inst))))
+    body: Formula = Not(Know(0, Not(conj(*map(_clause, inst.clauses)))))
     for j in range(n + 1, 2 * n + 1):
         tower: Formula = TOP
         for _ in range(j):
@@ -237,18 +233,18 @@ def reduce_3sat(inst: ThreeSatInstance) -> tuple[Model, Formula]:
     return _reduction_model(n), body
 
 
-# per variable count n: the final model, the index of s's all-positive copy
-# in it, and each clause's label mask there, keyed by its sorted literals
-_FINAL_CACHE: dict[int, tuple[Model, int, dict[tuple[int, ...], int]]] = {}
+# per variable count n: the final model, agent 0's class at s's all-positive
+# copy in it, that copy's depth gate, and each clause's label mask there,
+# keyed by the clause as given: at most (2n)^3 masks
+_FINAL_CACHE: dict[int, tuple[Model, int, bool, dict[tuple, int]]] = {}
 
 
 def reduction_decide(inst: ThreeSatInstance) -> bool:
     """DPAL truth of the reduction formula at ``s``: the announcements depend
     only on n and hold everywhere, so it is ``!K[0] !phi'`` at ``s``'s
-    all-positive copy in the final model.  ``check_labeling`` labels each
-    clause there once per n, so n's table holds at most one mask per sorted
-    literal triple, C(2n+2, 3) (56 at n=3).  An instance costs one ``&`` per
-    clause plus the observer's ``K`` step; nothing keyed by it is kept."""
+    all-positive copy in the final model: true iff the depth gate fails or
+    phi' meets agent 0's class there.  The conjunction starts from that
+    class, so an instance costs one lookup and one ``&`` per clause."""
     n = inst.n
     table = _FINAL_CACHE.get(n)
     if table is None:
@@ -257,19 +253,18 @@ def reduction_decide(inst: ThreeSatInstance) -> bool:
                                       SemanticsKind.DPAL, "s")[-1]
         for a in range(final.agents):   # all built, final drops its parents
             final.class_ids(a)
-        table = _FINAL_CACHE[n] = (final, final.state_index(s), {})
-    final, index, masks = table
-    phi = full = (1 << final.n) - 1
+        i = final.state_index(s)
+        # the labeling's K rule; the depth gate is modal_depth(!phi') = 0
+        table = _FINAL_CACHE[n] = (final, final.successor_masks(0)[i],
+                                   bool(final.depth_mask(0, 0) >> i & 1), {})
+    final, phi, gate, masks = table
     for cl in inst.clauses:
-        key = tuple(sorted(cl))
-        mask = masks.get(key)
+        mask = masks.get(cl)
         if mask is None:
-            mask = masks[key] = check_labeling(
-                final, _clause(key), SemanticsKind.DPAL).root_mask
+            mask = masks[cl] = check_labeling(
+                final, _clause(cl), SemanticsKind.DPAL).root_mask
         phi &= mask
-    # the labeling's K rule; the depth gate is modal_depth(!phi') = 0
-    known = _known(final, 0, phi ^ full) & final.depth_mask(0, 0)
-    return not known >> index & 1
+    return not gate or phi != 0
 
 
 def all_small_instances(n: int = 3, max_clauses: int = 4
@@ -277,7 +272,7 @@ def all_small_instances(n: int = 3, max_clauses: int = 4
     """Every 3-SAT instance over n variables with up to max_clauses clauses,
     up to clause order (combinations, not permutations)."""
     lits = [i for v in range(1, n + 1) for i in (v, -v)]
-    pool = [cl for cl in itertools.combinations_with_replacement(lits, 3)]
+    pool = list(itertools.combinations_with_replacement(lits, 3))
     for count in range(1, max_clauses + 1):
         for clauses in itertools.combinations(pool, count):
             yield ThreeSatInstance(n=n, clauses=tuple(clauses))

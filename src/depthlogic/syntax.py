@@ -36,11 +36,8 @@ class Atom(Formula):
 
 @dataclass(frozen=True)
 class DepthExact(Formula):
-    """E[a,d]: agent a has depth exactly d.
-
-    Source syntax only allows d >= 0; negative d arises internally from the
-    EDPAL depth-adjustment rewriting.
-    """
+    """E[a,d]: agent a has depth exactly d.  The source syntax allows only
+    d >= 0; a negative d arises from the EDPAL depth rewriting."""
 
     agent: int
     d: int
@@ -202,11 +199,9 @@ _EXCLUDED = {Fragment.L: (KnowInf,), Fragment.LINF: (),
 
 
 def in_fragment(f: Formula, fragment: Fragment, agent: int | None = None) -> bool:
-    """Syntactic fragment membership.
-
-    LA requires ``agent``; it excludes depth atoms and modal operators for
-    other agents everywhere, including inside announcements.
-    """
+    """Syntactic fragment membership.  LA requires ``agent``; it excludes
+    depth atoms and other agents' modal operators everywhere, announcements
+    included."""
     if fragment is Fragment.LA and agent is None:
         raise ValueError("fragment La needs an agent")
     gated = (Know, KnowInf) if fragment is Fragment.LA else ()
@@ -218,12 +213,10 @@ def in_fragment(f: Formula, fragment: Fragment, agent: int | None = None) -> boo
 # --- precondition transform for announcement axioms in the ambiguous setting ---
 
 def f_transform(announced: Formula, f: Formula) -> Formula:
-    """The precondition transform guaranteeing knowledge preservation.
-
-    Maps atoms to top, distributes over negation/conjunction/announcement, and
-    turns each knowledge operator into the three-conjunct Kinf condition on the
-    agent's perception of the announcement.
-    """
+    """The precondition transform guaranteeing knowledge preservation: maps
+    atoms to top, distributes over negation/conjunction/announcement, and
+    turns each knowledge operator into the three-conjunct Kinf condition on
+    the agent's perception of the announcement."""
     phi = announced
     dphi = modal_depth(phi)
     if isinstance(f, (Atom, DepthExact, DepthAtLeast)):
@@ -260,13 +253,10 @@ def _expand_at_least(agent: int, d: int) -> Formula:
 
 def translate_edpal(f: Formula) -> Formula:
     """Rewrite f into an equivalent EDPAL formula without announcements,
-    depth-gated knowledge or P atoms (only atoms, E, !, &, Kinf remain).
-
-    P atoms under an announcement are shifted by the announcement's modal
-    depth (mirroring the E depth-adjustment rule) instead of being expanded
-    into E disjunctions, which would be unsound on updated models with
-    negative depths.
-    """
+    depth-gated knowledge or P atoms (only atoms, E, !, &, Kinf remain).  P
+    atoms under an announcement are shifted by its modal depth, as the E
+    depth-adjustment rule does, not expanded into E disjunctions: that would
+    be unsound on updated models with negative depths."""
     if isinstance(f, (Atom, DepthExact)):
         return f
     if isinstance(f, DepthAtLeast):
@@ -324,8 +314,8 @@ class ParseError(ValueError):
 
 # one token after optional whitespace; ``bad`` takes any character that
 # starts no token, so every match ends where the next one starts
-_TOKEN_RE = re.compile(r"""\s*(?:
-    (?P<int>\d+)
+_TOKEN_RE = re.compile(r"""[ \t\r\n]*(?:
+    (?P<int>[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><->|->|[!&|()\[\],<>])
   | (?P<eof>\Z)
@@ -349,7 +339,7 @@ class _Parser:
             kind, end = m.lastgroup, m.end()
             tok, offset = m[kind], m.start(kind)
             if kind == "bad":
-                if tok == "-" and text[end:end + 1].isdigit():
+                if tok == "-" and "0" <= text[end:end + 1] <= "9":
                     raise self.error("negative numbers are not allowed (agent "
                                      "indices and depths start at 0)", offset)
                 raise self.error(f"unexpected character {tok!r}", offset)
@@ -370,6 +360,14 @@ class _Parser:
                              f"{tok[1] or 'end of input'!r}", tok[2])
         self.pos += 1
         return tok
+
+    def number(self) -> int:
+        _, text, offset = self.next("int")
+        try:
+            return int(text)
+        except ValueError:   # longer than int()'s digit limit
+            raise self.error(f"number of {len(text)} digits is too long",
+                             offset) from None
 
     def parse(self) -> Formula:
         f = self.binary()
@@ -394,7 +392,7 @@ class _Parser:
             return Not(self.unary())
         if kind in ("K", "Kinf"):
             self.next("[")
-            agent = int(self.next("int")[1])
+            agent = self.number()
             self.next("]")
             return (Know if kind == "K" else KnowInf)(agent, self.unary())
         if kind in ("[", "<"):
@@ -410,9 +408,9 @@ class _Parser:
             return f
         if kind in ("E", "P"):
             self.next("[")
-            agent = int(self.next("int")[1])
+            agent = self.number()
             self.next(",")
-            d = int(self.next("int")[1])
+            d = self.number()
             self.next("]")
             return DepthExact(agent, d) if kind == "E" else DepthAtLeast(agent, d)
         if kind == "true":

@@ -129,6 +129,19 @@ def test_formula_naming_unknown_agent_exits_3(model_file, capsys, argv):
     assert "unknown agent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("formula,message", [
+    ("K[\u0660] p", "unexpected character '\u0660' (line 1, column 3)"),
+    ("K[" + "1" * 5000 + "] p",
+     "number of 5000 digits is too long (line 1, column 3)"),
+], ids=["unicode-digit", "5000-digit-index"])
+def test_unicode_digit_or_overlong_index_exits_2(model_file, capsys, formula,
+                                                 message):
+    rc = main(["check", "--model", model_file, "--state", "s",
+               f"--formula={formula}"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 @pytest.mark.parametrize("key,value", [
     ("val", [["p"]]),
     ("rel", [[]]),
@@ -459,7 +472,8 @@ def test_readme_cli_table_lists_exactly_the_subcommands():
 
 _TOKENS = ("p", "q", "true", "false", "!", "&", "|", "->", "<->", "(", ")",
            "[", "]", "<", ">", "K[0]", "K[1]", "K[3]", "Kinf[0]", "E[0,1]",
-           "P[1,0]", "K[", ",", "0")
+           "P[1,0]", "K[", ",", "0", "\u0660", "K[\u0661]", "E[0,\u0663]",
+           "1" * 5000)
 _WELL_FORMED = st.recursive(
     st.sampled_from(("p", "q", "true", "false", "E[0,1]", "P[1,0]")),
     lambda f: st.one_of(

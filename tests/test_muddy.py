@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
+from depthlogic import muddy
 from depthlogic.model import model_size, validate
 from depthlogic.muddy import (
     ThreeSatInstance,
@@ -201,6 +203,28 @@ class TestReduction:
                 assert check_naive(m, "s", f, SemanticsKind.DPAL) == want, inst
                 seen[n].add(want)
         assert all(verdicts == {False, True} for verdicts in seen.values())
+
+    def test_clause_table_stays_within_its_bound(self, monkeypatch):
+        # every ordered clause, so unsorted ones and repeated literals too,
+        # each decided twice: the bound leaves no room for a second key
+        monkeypatch.setattr(muddy, "_FINAL_CACHE", {})
+        for n in (1, 2, 3):
+            lits = [v * sign for v in range(1, n + 1) for sign in (1, -1)]
+            clauses = list(itertools.product(lits, repeat=3))
+            for _ in range(2):
+                for cl in clauses:
+                    inst = ThreeSatInstance(n, (cl, cl[::-1]))
+                    assert reduction_decide(inst) == truth_table_sat(inst)
+                assert len(muddy._FINAL_CACHE[n][-1]) <= (2 * n) ** 3
+
+    @pytest.mark.parametrize("n,clause", [
+        (3, (1, 2, 0)), (3, (1, 2, 4)), (3, (-4, 1, 1)), (1, (1, 2, 1)),
+        (2, (1, 2)), (2, (1, 2, -2, 1)), (0, (1, 1, 1))])
+    def test_bad_clause_is_refused(self, n, clause):
+        for _ in range(2):   # the second time with n's literals cached
+            with pytest.raises(ValueError,
+                               match=re.escape(f"bad clause {clause!r}")):
+                ThreeSatInstance(n, (clause,))
 
 
 def test_all_small_instances_count():

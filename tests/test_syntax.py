@@ -84,6 +84,11 @@ class TestParse:
         ("<p] q", "expected '>', found ']'", 1, 3),
         ("P[0,\n  -3]", "negative numbers are not allowed (agent indices "
          "and depths start at 0)", 2, 3),
+        # ASCII only: digits 0-9; space, tab, CR and LF between tokens
+        ("K[\u0660] p", "unexpected character '\u0660'", 1, 3),
+        ("P[0,-\u0663]", "unexpected character '-'", 1, 5),
+        ("p\u00a0& q", "unexpected character '\\xa0'", 1, 2),
+        ("p\f& q", "unexpected character '\\x0c'", 1, 2),
     ])
     def test_error_message_and_position(self, text, message, line, column):
         with pytest.raises(ParseError) as exc:
@@ -101,6 +106,15 @@ class TestParse:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(depthlogic.__file__)))
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    @pytest.mark.parametrize("template,digits,line,column", [
+        ("K[{}] p", 5000, 1, 3), ("E[0,\n {}]", 4301, 2, 2)])
+    def test_number_past_the_int_digit_limit_is_a_parse_error(
+            self, template, digits, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse(template.format("7" * digits))
+        assert str(exc.value) == (f"number of {digits} digits is too long "
+                                  f"(line {line}, column {column})")
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ParseError):
