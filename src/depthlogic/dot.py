@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .model import EQUIVALENCE, Model, pair_walk
 from .semantics import _COPY_PREFIX as _COPIES   # DPAL copies' name prefixes
-# check_naive is unused here, but the traced benchmark wraps dot.check_naive
-# by name
+# check_naive: unused here, but the traced benchmark wraps it by name
 from .semantics import SemanticsKind, announcement_steps, check_naive
 from .syntax import Formula, to_text
 
@@ -25,60 +22,60 @@ def _escaped(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _node_lines(m: Model, prefix: str, designated: str | None) -> list[str]:
-    lines = []
-    for s, atoms, depths in zip(m.states, m.valuation(),
-                                zip(*map(m.depths, range(m.agents)))):
-        name = _escaped(s)
-        atoms = _escaped(",".join(sorted(atoms)))
-        label = f"{name}\\n{{{atoms}}}\\nd: {' '.join(map(str, depths))}"
-        style = ' style=filled fillcolor=lightyellow' if s == designated else ""
-        lines.append(f'    "{prefix}{name}" [label="{label}"{style}];')
-    return lines
-
-
-def _edge_lines(m: Model, prefix: str) -> list[str]:
-    # an equivalence relation is symmetric: draw each pair once, undirected
+def _model_lines(m: Model, indent: str, prefix: str,
+                 designated: str | None) -> list[str]:
+    """The model's node lines, then its edge lines, led by ``indent``, with
+    each node named ``prefix`` plus its state.  Node texts, atom set labels
+    and edge suffixes are built once, and one item holds an agent's edges
+    from a state: to the later members of its class (equivalence mode,
+    drawn undirected) or to its successors (reflexive mode)."""
+    names = list(map(_escaped, m.states))
+    atoms = {v: _escaped(",".join(sorted(v))) for v in set(m.valuation())}
+    depths = map(" ".join, zip(*[map(str, m.depths(a))
+                                 for a in range(m.agents)]))
+    here = " style=filled fillcolor=lightyellow"
+    lines = [f'{indent}"{prefix}{s}" [label="{s}\\n{{{atoms[v]}}}\\nd: {d}"'
+             f'{here if t == designated else ""}];'
+             for s, t, v, d in zip(names, m.states, m.valuation(), depths)]
     undirected = m.mode == EQUIVALENCE
-    node = [f'"{prefix}{_escaped(s)}"' for s in m.states]
-    lines = []
+    nodes = [f'"{prefix}{s}"' for s in names]
+    heads = [f"{indent}{node} -> " for node in nodes]
+    seps = ["\n" + head for head in heads]
+    # a DPAL copy's edge to another copy's state is dashed
+    copies = [s[:2] if undirected and s[:2] in _COPIES else None
+              for s in m.states]
     for a in range(m.agents):
-        for i, js in enumerate(pair_walk(m, a)):
-            s = m.states[i]
-            for j in js[bisect_left(js, i):] if undirected else js:
-                t = m.states[j]
-                style = " dir=none" if undirected else ""
-                if undirected and s[:2] in _COPIES and s[:2] != t[:2]:
-                    style += " style=dashed"   # a DPAL cross-copy link
-                lines.append(f'    {node[i]} -> {node[j]} '
-                             f'[color={agent_color(a)} label="{a}"{style}];')
+        plain = f' [color={agent_color(a)} label="{a}"' + (
+            " dir=none" if undirected else "")
+        end = (plain + " style=dashed];", plain + "];")
+        tails = {c: [t + end[c is None or c == ct]   # per source copy
+                     for t, ct in zip(nodes, copies)] for c in set(copies)}
+        one = tails[copies[0]] if len(tails) == 1 else None   # one copy kind
+        lines += [head + sep.join(js if one else map(tails[c].__getitem__, js))
+                  for head, sep, c, js in zip(heads, seps, copies,
+                                              pair_walk(m, a, undirected, one))
+                  if js]
     return lines
+
+
+def _digraph(name: str, body: list[str]) -> str:
+    return "\n".join([f'digraph "{name}" {{', "  rankdir=LR;",
+                      "  node [shape=box fontsize=10];", *body, "}\n"])
 
 
 def model_to_dot(m: Model, designated: str | None = None,
                  name: str = "model") -> str:
-    lines = [f"digraph \"{name}\" {{", "  rankdir=LR;",
-             "  node [shape=box fontsize=10];"]
-    lines += [ln[2:] for ln in _node_lines(m, "", designated)]
-    lines += [ln[2:] for ln in _edge_lines(m, "")]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _digraph(name, _model_lines(m, "  ", "", designated))
 
 
 def sequence_to_dot(m: Model, announcements: list[Formula],
                     kind: SemanticsKind, state: str | None = None,
                     name: str = "updates") -> str:
     """One cluster per announcement step, left to right."""
-    steps = announcement_steps(m, announcements, kind, state)
-    lines = [f"digraph \"{name}\" {{", "  rankdir=LR;",
-             "  node [shape=box fontsize=10];"]
-    for i, (model, here) in enumerate(steps):
+    lines = []
+    for i, (model, here) in enumerate(
+            announcement_steps(m, announcements, kind, state)):
         title = f"after [{to_text(announcements[i - 1])}]" if i else "initial"
-        lines.append(f"  subgraph cluster_{i} {{")
-        lines.append(f'    label="{title}";')
-        prefix = f"s{i}:"
-        lines += _node_lines(model, prefix, here)
-        lines += _edge_lines(model, prefix)
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines += [f"  subgraph cluster_{i} {{", f'    label="{title}";',
+                  *_model_lines(model, "    ", f"s{i}:", here), "  }"]
+    return _digraph(name, lines)

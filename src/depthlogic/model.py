@@ -4,17 +4,18 @@ An equivalence-mode relation (DBEL, DPAL, EDPAL) is a partition, stored as
 one class id per state index for each agent; a reflexive-mode relation
 (ADPAL) is stored as one successor mask per state index (see below), the
 state's own bit included.  ``successors`` reads either as names: the
-agent's class, or the state itself plus its direct successors.  Explicit
-pairs exist only in model files: ``model_from_dict`` turns them into class
-ids or successor masks (closing an open equivalence relation with a
-warning), and ``validate``, through ``Model.pairs``, the writer, ``to_dict``
-and the DOT export walk them by state index (``pair_walk``).  Pairs never
-list reflexive loops.
+agent's class, or the state itself plus its direct successors.
 
-Files are written by one streaming writer: ``save_model`` writes, and
-``canonical_json`` joins, the fixed file schema as chunks of text, laid out
-byte for byte as ``json.dumps(to_dict(m), sort_keys=True, indent=2)`` plus a
-newline lays it out, without building ``to_dict`` or the whole text.
+Explicit pairs, never reflexive loops, exist only in model files, and are
+read and written a state at a time.  ``model_from_dict`` maps each agent's
+pair names to indices in one pass; a closed equivalence relation's class
+ids are its states' least successors, after three checks at C level (an
+open relation is closed with a warning).  ``pair_walk`` slices each state's
+pairs from its class or reads them off its successor mask for the writer,
+``to_dict``, the DOT export and ``validate``.  ``save_model`` writes, and
+``canonical_json`` joins, the fixed file schema as text laid out byte for
+byte as ``json.dumps(to_dict(m), sort_keys=True, indent=2)`` plus a newline,
+without building ``to_dict``.
 
 Depths and atoms are stored by state index too: one tuple per agent, and
 one of atom sets, in state order (``depths(a)``, ``valuation()``); ``n`` is
@@ -40,13 +41,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from bisect import bisect_left
 from collections import Counter
-from collections.abc import (Callable, Hashable, Iterable, Iterator, Mapping,
+from collections.abc import (Hashable, Iterable, Iterator, Mapping,
                              Sequence)
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import add, floordiv, lt, mod, mul, ne
 
 EQUIVALENCE = "equivalence"
 REFLEXIVE = "reflexive"
@@ -98,7 +99,7 @@ class Model:
         if not val.keys() <= index.keys():
             unknown = min(val.keys() - index.keys())
             raise ModelError(f"valuation for unknown state {unknown!r}")
-        vmap = tuple([frozenset(val.get(s, ())) for s in states])
+        vmap = tuple(map(frozenset, map(val.get, states, repeat(()))))
         ids: dict[int, tuple[int, ...]] = {}
         succ: dict[int, tuple[int, ...]] = {}
         if mode == EQUIVALENCE:
@@ -228,10 +229,8 @@ class Model:
 
     def pairs(self, agent: int) -> frozenset[Pair]:
         """Non-loop pairs, from ``pair_walk``."""
-        states = self.states
-        return frozenset((states[i], states[j])
-                         for i, js in enumerate(pair_walk(self, agent))
-                         for j in js)
+        return frozenset((s, t) for s, ts in zip(self.states, pair_walk(
+            self, agent, labels=self.states)) for t in ts)
 
     def has_state(self, state: str) -> bool:
         return state in self._names()
@@ -249,9 +248,7 @@ class Model:
         if agent in self._ids:
             return self._ids[agent]
         if agent in self._succ and self.mode == REFLEXIVE:   # components
-            self._ids[agent] = _components(self.n, (
-                (i, j) for i, js in enumerate(pair_walk(self, agent))
-                for j in js))
+            self._ids[agent] = _components(pair_walk(self, agent))
         else:
             self._build(agent)
         return self._ids[agent]
@@ -427,33 +424,29 @@ def _depth_columns(agents: int, names: Mapping[str, object],
                 raise ModelError(f"agent {a} needs one depth per state")
             dmap[a] = tuple(map(int, da))
         elif da.keys() <= names.keys():
-            dmap[a] = tuple([int(da.get(s, 0)) for s in names])
+            dmap[a] = tuple(map(int, map(da.get, names, repeat(0))))
         else:
             unknown = min(da.keys() - names.keys())
             raise ModelError(f"depth for unknown state {unknown!r}")
     return dmap
 
 
-def _components(n: int, edges: Iterable[tuple[int, int]]
-                ) -> tuple[int, ...]:
+def _components(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Class ids (as ``Model.class_ids``) of the connected components of the
-    symmetrized edges between state indices ``0..n-1``."""
-    neigh: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        neigh[i].append(j)
-        neigh[j].append(i)
-    ids = [-1] * len(neigh)
-    for i in range(len(neigh)):
-        if ids[i] >= 0:
-            continue
-        ids[i] = i
-        frontier = [i]
-        while frontier:
-            for v in neigh[frontier.pop()]:
-                if ids[v] < 0:
-                    ids[v] = i
-                    frontier.append(v)
-    return tuple(ids)
+    symmetrized relation whose successor ``rows`` are laid out as
+    ``pair_walk``'s: a union-find whose roots are the least indices."""
+    up = list(range(len(rows)))
+
+    def root(i: int) -> int:
+        while up[i] != i:
+            up[i] = up[up[i]]
+            i = up[i]
+        return i
+    for i, js in enumerate(rows):
+        for j in js:
+            low, high = sorted((root(i), root(j)))
+            up[high] = low
+    return tuple(map(root, range(len(rows))))
 
 
 @dataclass(frozen=True)
@@ -473,38 +466,28 @@ class ViolationReport:
 
 
 def validate(m: Model, mode: str | None = None) -> ViolationReport | None:
-    """Check closure properties of ``Model.pairs`` for the given mode (an
-    equivalence-mode model is closed by construction, so only a
-    reflexive-mode relation checked as an equivalence can fail).
-
-    Returns None when fine, otherwise the first violation in deterministic
-    order.  Reflexivity is implicit and can never be violated.
-    """
-    mode = mode or m.mode
-    if mode == REFLEXIVE:
+    """Check closure properties for the given mode: only a reflexive-mode
+    relation checked as an equivalence can fail (an equivalence-mode model
+    is closed by construction, and reflexivity is implicit).  Returns None
+    when fine, otherwise the first violation in state order."""
+    if m.mode == EQUIVALENCE or (mode or m.mode) == REFLEXIVE:
         return None
-    for a in range(m.agents):
-        report = _first_violation(a, m.pairs(a), m.state_index)
-        if report is not None:
-            return report
-    return None
+    return next(filter(None, (_first_violation(a, pair_walk(m, a), m.states)
+                              for a in range(m.agents))), None)
 
 
-def _first_violation(agent: int, pairs: frozenset[Pair],
-                     order: Callable[[str], int]) -> ViolationReport | None:
-    """The first pair, in state ``order``, that breaks symmetry, else the
-    first that transitivity requires and ``pairs`` lacks."""
-    key = lambda p: (order(p[0]), order(p[1]))
-    for s, t in sorted(pairs, key=key):
-        if (t, s) not in pairs:
-            return ViolationReport("symmetry", agent, (s, t))
-    succ = {}
-    for s, t in pairs:
-        succ.setdefault(s, set()).add(t)
-    for s, t in sorted(pairs, key=key):
-        for u in sorted(succ.get(t, ()), key=order):
-            if u != s and (s, u) not in pairs:
-                return ViolationReport("transitivity", agent, (s, u))
+def _first_violation(agent: int, rows: Sequence[Sequence[int]],
+                     names: Sequence[str]) -> ViolationReport | None:
+    """The first arc (i, j), in index order, whose reverse is missing, else
+    the first (i, k) that transitivity requires and the arcs lack; ``rows``
+    holds each state's successors as ``pair_walk`` lays them out."""
+    arcs = [(i, j) for i, js in enumerate(rows) for j in js]
+    has = set(arcs)
+    for prop, i, j in chain(
+            (("symmetry", i, j) for i, j in arcs if (j, i) not in has),
+            (("transitivity", i, k) for i, j in arcs for k in rows[j]
+             if k != i and (i, k) not in has)):
+        return ViolationReport(prop, agent, (names[i], names[j]))
     return None
 
 
@@ -522,19 +505,27 @@ def model_size(m: Model) -> int:
 
 # -- serialization --
 
-def pair_walk(m: Model, agent: int) -> Iterator[list[int]]:
-    """Per state index i, in order, the indices of the agent's successors of
-    ``states[i]`` other than i, ascending: the agent's pairs in (index s,
-    index t) order.  In equivalence mode these are the other members of i's
-    class."""
-    if m.mode == EQUIVALENCE:
-        ids = m.class_ids(agent)
-        for i, cls in enumerate(map(_members(ids).__getitem__, ids)):
-            p = bisect_left(cls, i)
-            yield cls[:p] + cls[p + 1:]
-    else:
+def pair_walk(m: Model, agent: int, later: bool = False,
+              labels: Sequence | None = None) -> list[Sequence]:
+    """Per state index i, in order, the indices (or ``labels``) of the
+    agent's successors of ``states[i]`` other than i, ascending: its pairs in
+    index order.  In equivalence mode, the other members of i's class (with
+    ``later``, those after i), sliced from it; else its successor mask's."""
+    label = (range(m.n) if labels is None else labels).__getitem__
+    rows: list[Sequence] = [()] * m.n
+    if m.mode != EQUIVALENCE:
         for i, t in enumerate(m.successor_masks(agent)):
-            yield list(bits_of(t & ~(1 << i)))
+            t ^= 1 << i   # i's other successors: often none or one
+            if t:
+                rows[i] = ([label(t.bit_length() - 1)] if t & (t - 1) == 0
+                           else list(map(label, bits_of(t))))
+        return rows
+    for cls in _members(m.class_ids(agent)).values():
+        if len(cls) > 1:
+            named = list(map(label, cls))
+            for p, i in enumerate(cls):
+                rows[i] = named[p + 1:] if later else named[:p] + named[p + 1:]
+    return rows
 
 
 def to_dict(m: Model) -> dict:
@@ -544,9 +535,8 @@ def to_dict(m: Model) -> dict:
         "mode": m.mode,
         "states": list(states),
         "val": {s: sorted(atoms) for s, atoms in zip(states, m.valuation())},
-        "rel": {str(a): [[states[i], states[j]]
-                         for i, js in enumerate(pair_walk(m, a)) for j in js]
-                for a in range(m.agents)},
+        "rel": {str(a): [[s, t] for s, ts in zip(states, pair_walk(
+            m, a, labels=states)) for t in ts] for a in range(m.agents)},
         "depth": {str(a): dict(zip(states, m.depths(a)))
                   for a in range(m.agents)},
     }
@@ -556,8 +546,8 @@ def _json_chunks(m: Model) -> Iterator[str]:
     """``json.dumps(to_dict(m), sort_keys=True, indent=2) + "\\n"`` as text
     chunks, without building ``to_dict``: the file schema is fixed, so its
     keys are laid out in sorted order here, each state name is quoted once
-    as the encoder quotes it, and each agent's pairs come from
-    ``pair_walk``, one state's at a time."""
+    as the encoder quotes it, and an agent's pairs are one chunk, joined a
+    state at a time from ``pair_walk``."""
     states = m.states
     quoted = list(map(encode_basestring_ascii, states))
     by_name = sorted(range(len(states)), key=states.__getitem__)
@@ -565,29 +555,23 @@ def _json_chunks(m: Model) -> Iterator[str]:
     agents = sorted(range(m.agents), key=str)   # "10" sorts before "2"
     yield '{\n  "agents": ' + json.dumps(m.agents) + ',\n  "depth": {'
     for k, a in enumerate(agents):
-        da = m.depths(a)
+        depths = map(str, map(m.depths(a).__getitem__, by_name))
         yield (f'{"," if k else ""}\n    "{a}": '
-               + _block([key + str(da[i]) for key, i in zip(keys, by_name)],
-                        4, "{}"))
+               + _block(list(map(str.__add__, keys, depths)), 4, "{}"))
     yield '\n  },\n  "mode": ' + json.dumps(m.mode) + ',\n  "rel": {'
-    for k, a in enumerate(agents):
-        yield f'{"," if k else ""}\n    "{a}": '
-        sep = "["
-        for i, js in enumerate(pair_walk(m, a)):
-            if js:
-                head = "\n      [\n        " + quoted[i] + ",\n        "
-                tail = "\n      ]"
-                yield (sep + head + (tail + "," + head).join(
-                    map(quoted.__getitem__, js)) + tail)
-                sep = ","
-        yield "[]" if sep == "[" else "\n    ]"
+    tail = "\n      ]"
+    heads = ["[\n        " + q + ",\n        " for q in quoted]
+    seps = [tail + ",\n      " + head for head in heads]
+    for k, a in enumerate(agents):   # one item per state with pairs
+        rows = [head + sep.join(js) + tail for head, sep, js
+                in zip(heads, seps, pair_walk(m, a, labels=quoted)) if js]
+        yield f'{"," if k else ""}\n    "{a}": ' + _block(rows, 4, "[]")
     yield '\n  },\n  "states": ' + _block(quoted, 2, "[]")
     vals = m.valuation()
-    atoms_text = {   # each distinct atom set quoted once
-        atoms: _block(list(map(encode_basestring_ascii, sorted(atoms))), 4,
-                      "[]")
-        for atoms in set(vals)}
-    val = [key + atoms_text[vals[i]] for key, i in zip(keys, by_name)]
+    atoms_text = {a: _block(list(map(encode_basestring_ascii, sorted(a))), 4,
+                            "[]") for a in set(vals)}   # each set quoted once
+    val = list(map(str.__add__, keys, map(atoms_text.__getitem__,
+                                          map(vals.__getitem__, by_name))))
     yield ',\n  "val": ' + _block(val, 2, "{}") + "\n}\n"
 
 
@@ -656,6 +640,7 @@ def model_from_dict(data: Mapping) -> Model:
         agents = _typed(data["agents"], int, "agents")
         states = _typed(data["states"], list, "states")
         _each(states, str, "a state")
+        index = dict(zip(states, count()))
         mode = data.get("mode", EQUIVALENCE)
         val = section("val")
         _each(val.values(), list, "a valuation")
@@ -665,8 +650,13 @@ def model_from_dict(data: Mapping) -> Model:
             _each(_typed(pairs, list, "a relation"), list, "a pair")
             if set(map(len, pairs)) - {2}:
                 raise ValueError("a pair must name two states")
-            _each(chain.from_iterable(pairs), str, "a state")
-            rel[_agent(a)] = pairs
+            try:   # each pair's source and target index, flat
+                ends = list(map(index.__getitem__, chain.from_iterable(pairs)))
+            except (KeyError, TypeError):   # a name not a string, or unknown
+                _each(chain.from_iterable(pairs), str, "a state")
+                ends = tuple(next(p for p in pairs
+                                  if not index.keys() >= set(p)))
+            rel[_agent(a)] = ends
         depth = {}
         for a, per in section("depth").items():
             _each(_typed(per, Mapping, "a depth map").values(), int,
@@ -674,43 +664,53 @@ def model_from_dict(data: Mapping) -> Model:
             depth[_agent(a)] = per
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model document: {exc}") from exc
-    index = dict(zip(states, count()))
-    edges = {}
-    for a, pairs in rel.items():
+    for a, ends in rel.items():
         if not 0 <= a < agents:
             raise ModelError(f"relation for unknown agent {a}")
-        if not index.keys() >= set(chain.from_iterable(pairs)):
-            s, t = next(p for p in pairs if not index.keys() >= set(p))
-            raise ModelError(f"relation pair ({s!r}, {t!r}) uses unknown "
-                             f"state")
-        edges[a] = {(index[s], index[t]) for s, t in pairs if s != t}
+        if type(ends) is tuple:   # the first pair naming an unknown state
+            raise ModelError(f"relation pair {ends!r} uses unknown state")
+    n = len(states)
     if mode == REFLEXIVE:   # checked with identity relations, then the arcs
         m = Model(agents, states, val, depth, mode)
-        for a, arcs in edges.items():
+        for a, flat in rel.items():   # loops and repeats set a bit again
             masks = list(m._succ[a])
-            for i, j in arcs:
-                masks[i] |= 1 << j
+            for i, bit in zip(flat[::2], map((1).__lshift__, flat[1::2])):
+                masks[i] |= bit
             m._succ[a] = tuple(masks)
         return m
     class_ids = {}
-    for a, arcs in edges.items():
-        ids = class_ids[a] = _components(len(states), arcs)
-        # all arcs lie within their components, so equal counts mean closed
-        if len(arcs) != sum(c * (c - 1) for c in Counter(ids).values()):
-            report = _first_violation(
-                a, frozenset((states[i], states[j]) for i, j in arcs),
-                index.__getitem__)
+    for a, flat in rel.items():
+        src, dst = flat[::2], flat[1::2]
+        codes = list(map(add, map(mul, src, repeat(n)), dst))
+        if not (all(map(lt, codes, islice(codes, 1, None)))
+                and all(map(ne, src, dst))):   # unlike a written file's
+            codes = sorted(set(compress(codes, map(ne, src, dst))))
+            src = list(map(floordiv, codes, repeat(n)))
+            dst = list(map(mod, codes, repeat(n)))
+        # a closed relation's class id at i is i's least successor or i, the
+        # arcs stay within these candidate classes, and each holds all c(c-1)
+        ids = list(range(n))
+        for i, j in dict(zip(reversed(src), reversed(dst))).items():
+            if j < i:   # i's least target
+                ids[i] = j
+        sizes = Counter(ids).values()
+        if len(src) != sum(c * (c - 1) for c in sizes) or any(
+                map(ne, map(ids.__getitem__, src), map(ids.__getitem__, dst))):
+            rows: list[list[int]] = [[] for _ in range(n)]
+            for i, j in zip(src, dst):   # ascending, as pair_walk's
+                rows[i].append(j)
+            ids, report = _components(rows), _first_violation(a, rows, states)
             warnings.warn(
                 f"agent {a} relation was not closed ({report.property} "
                 f"fails at {report.witness}); applying symmetric transitive "
                 f"closure", stacklevel=2)
+        class_ids[a] = ids
     return Model(agents, states, val, depth, mode, class_ids=class_ids)
 
 
 def load_model(path: str) -> Model:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return model_from_dict(data)
+        return model_from_dict(json.load(fh))
 
 
 def loads_model(text: str) -> Model:

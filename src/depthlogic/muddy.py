@@ -187,9 +187,9 @@ class ThreeSatInstance:
 
     def __post_init__(self) -> None:
         lits = _literals(self.n)
-        for cl in self.clauses:
-            if len(cl) != 3 or not lits.issuperset(cl):
-                raise ValueError(f"bad clause {cl!r}")
+        for c in self.clauses:
+            if type(c) is not tuple or len(c) != 3 or not lits.issuperset(c):
+                raise ValueError(f"bad clause {c!r}")
 
 
 @functools.lru_cache(maxsize=8)

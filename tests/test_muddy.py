@@ -219,7 +219,7 @@ class TestReduction:
 
     @pytest.mark.parametrize("n,clause", [
         (3, (1, 2, 0)), (3, (1, 2, 4)), (3, (-4, 1, 1)), (1, (1, 2, 1)),
-        (2, (1, 2)), (2, (1, 2, -2, 1)), (0, (1, 1, 1))])
+        (2, (1, 2)), (2, (1, 2, -2, 1)), (0, (1, 1, 1)), (3, [1, 2, 3])])
     def test_bad_clause_is_refused(self, n, clause):
         for _ in range(2):   # the second time with n's literals cached
             with pytest.raises(ValueError,
