@@ -2,8 +2,8 @@
 public-announcement extensions."""
 
 from .model import (EQUIVALENCE, REFLEXIVE, Model, ModelError, PointedModel,
-                    canonical_json, is_unambiguous, load_model, loads_model,
-                    model_size, save_model, validate)
+                    canonical_json, is_unambiguous, load_model, model_size,
+                    save_model, validate)
 from .semantics import (FragmentError, ModeError, SemanticsKind, check,
                         check_labeling, check_naive, holds_everywhere,
                         update, update_adpal, update_dpal, update_edpal)
@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EQUIVALENCE", "REFLEXIVE", "Model", "ModelError", "PointedModel",
-    "canonical_json", "is_unambiguous", "load_model", "loads_model",
-    "model_size", "save_model", "validate",
+    "canonical_json", "is_unambiguous", "load_model", "model_size",
+    "save_model", "validate",
     "FragmentError", "ModeError", "SemanticsKind", "check", "check_labeling",
     "check_naive", "holds_everywhere", "update", "update_adpal",
     "update_dpal", "update_edpal",

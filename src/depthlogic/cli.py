@@ -141,17 +141,6 @@ def _depth_fn(spec_text: str, k: int, n: int) -> muddymod.DepthFn:
                                      for i, e in enumerate(exprs)])
 
 
-_MUDDY_FORMULAS = {   # muddy --formula: each name's formula for k children
-    "phi_k": muddymod.phi_k,
-    "upper": lambda k: muddymod.implies(muddymod.upper_bound_hypothesis(k),
-                                        muddymod.phi_k(k)),
-    "lower": lambda k: muddymod.implies(muddymod.phi_k(k),
-                                        muddymod.lower_bound_conclusion(k)),
-    "amnesia": lambda k: muddymod.amnesia_formula(),
-    "leakage": lambda k: muddymod.leakage_formula(),
-}
-
-
 def cmd_muddy(args: argparse.Namespace) -> int:
     k = args.k
     n = args.n or k
@@ -159,7 +148,7 @@ def cmd_muddy(args: argparse.Namespace) -> int:
                 else _depth_fn(args.depths, k, n))
     inst = muddymod.build_muddy(n, k, depth_fn)
     kind = _semantics(args.semantics)
-    f = _MUDDY_FORMULAS[args.which](k)
+    f = muddymod.FORMULAS[args.which](k)
     result = check(inst.model, inst.initial, f, kind)
     print(f"{to_text(f)}")
     print("true" if result else "false")
@@ -246,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", default=None,
                    help="comma list per child, or expression in i/k/n")
     p.add_argument("--formula", dest="which", default="phi_k",
-                   choices=_MUDDY_FORMULAS)
+                   choices=muddymod.FORMULAS)
     p.add_argument("--dot", default=None)
     _add_semantics_flag(p)
     p.set_defaults(fn=cmd_muddy)

@@ -13,10 +13,6 @@ _COLORS = ("black", "blue3", "red3", "darkgreen", "darkorange2",
            "purple3", "deeppink3", "gray40")
 
 
-def agent_color(a: int) -> str:
-    return _COLORS[a % len(_COLORS)]
-
-
 def _escaped(text: str) -> str:
     """Text as the inside of a DOT quoted string."""
     return text.replace("\\", "\\\\").replace('"', '\\"')
@@ -45,7 +41,7 @@ def _model_lines(m: Model, indent: str, prefix: str,
     copies = [s[:2] if undirected and s[:2] in _COPIES else None
               for s in m.states]
     for a in range(m.agents):
-        plain = f' [color={agent_color(a)} label="{a}"' + (
+        plain = f' [color={_COLORS[a % len(_COLORS)]} label="{a}"' + (
             " dir=none" if undirected else "")
         end = (plain + " style=dashed];", plain + "];")
         tails = {c: [t + end[c is None or c == ct]   # per source copy
@@ -63,14 +59,12 @@ def _digraph(name: str, body: list[str]) -> str:
                       "  node [shape=box fontsize=10];", *body, "}\n"])
 
 
-def model_to_dot(m: Model, designated: str | None = None,
-                 name: str = "model") -> str:
-    return _digraph(name, _model_lines(m, "  ", "", designated))
+def model_to_dot(m: Model, designated: str | None = None) -> str:
+    return _digraph("model", _model_lines(m, "  ", "", designated))
 
 
 def sequence_to_dot(m: Model, announcements: list[Formula],
-                    kind: SemanticsKind, state: str | None = None,
-                    name: str = "updates") -> str:
+                    kind: SemanticsKind, state: str | None = None) -> str:
     """One cluster per announcement step, left to right."""
     lines = []
     for i, (model, here) in enumerate(
@@ -78,4 +72,4 @@ def sequence_to_dot(m: Model, announcements: list[Formula],
         title = f"after [{to_text(announcements[i - 1])}]" if i else "initial"
         lines += [f"  subgraph cluster_{i} {{", f'    label="{title}";',
                   *_model_lines(model, "    ", f"s{i}:", here), "  }"]
-    return _digraph(name, lines)
+    return _digraph("updates", lines)

@@ -178,11 +178,6 @@ class Model:
             self._build()
         return self._states
 
-    def _names(self) -> dict[str, int]:
-        if self._index is None:   # the state-name index
-            self._index = dict(zip(self.states, count()))
-        return self._index
-
     def _build(self, agent: int | None = None, depths: bool = False) -> None:
         """Builds the names (``agent`` None) or a known agent's class ids (or
         ``depths``) from the source, oldest lacking parent first: a long
@@ -232,13 +227,12 @@ class Model:
         return frozenset((s, t) for s, ts in zip(self.states, pair_walk(
             self, agent, labels=self.states)) for t in ts)
 
-    def has_state(self, state: str) -> bool:
-        return state in self._names()
-
     def state_index(self, state: str) -> int:
         """The state's index; ``ModelError`` for a state the model lacks."""
+        if self._index is None:   # the state-name index
+            self._index = dict(zip(self.states, count()))
         try:
-            return self._names()[state]
+            return self._index[state]
         except KeyError:
             raise ModelError(f"unknown state {state!r}") from None
 
@@ -382,8 +376,9 @@ def flags_of(mask: int, n: int) -> Iterator[bool]:
 def bits_of(mask: int) -> Iterator[int]:
     """The indices of a bitmask's set bits, ascending.  A sparse mask, such
     as a state's successors, is read a set bit at a time, not a byte per
-    state."""
-    if mask.bit_count() << 5 >= mask.bit_length():
+    state: one with at most 8 set bits, or fewer than one per 32 bits."""
+    ones = mask.bit_count()
+    if ones > 8 and ones << 5 >= mask.bit_length():
         return compress(count(), _bytes_of(mask, mask.bit_length()))
     bits = []
     while mask:
@@ -711,7 +706,3 @@ def model_from_dict(data: Mapping) -> Model:
 def load_model(path: str) -> Model:
     with open(path, encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))
-
-
-def loads_model(text: str) -> Model:
-    return model_from_dict(json.loads(text))

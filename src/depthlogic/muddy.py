@@ -86,8 +86,7 @@ def upper_bound_hypothesis(k: int) -> Formula:
 def upper_bound_check(k: int, kind: SemanticsKind,
                       depth_fn: DepthFn | None = None) -> bool:
     inst = build_muddy(k, k, depth_fn or canonical_depths(k))
-    f = implies(upper_bound_hypothesis(k), phi_k(k))
-    return check(inst.model, inst.initial, f, kind)
+    return check(inst.model, inst.initial, FORMULAS["upper"](k), kind)
 
 
 def lower_bound_conclusion(k: int) -> Formula:
@@ -118,8 +117,8 @@ class SweepReport:
 def lower_bound_check(k: int, depth_fn: DepthFn) -> bool:
     """Check phi_k -> (lower bound conclusion) at s_k under DPAL."""
     inst = build_muddy(k, k, depth_fn)
-    f = implies(phi_k(k), lower_bound_conclusion(k))
-    return check(inst.model, inst.initial, f, SemanticsKind.DPAL)
+    return check(inst.model, inst.initial, FORMULAS["lower"](k),
+                 SemanticsKind.DPAL)
 
 
 def lower_bound_sweep(k: int, max_depth: int = 3) -> SweepReport:
@@ -128,7 +127,7 @@ def lower_bound_sweep(k: int, max_depth: int = 3) -> SweepReport:
     report = SweepReport(k=k)
     base = build_muddy(k, k, canonical_depths(k))
     phi = phi_k(k)
-    f = implies(phi, lower_bound_conclusion(k))
+    f = FORMULAS["lower"](k)
     n = len(base.model.states)
     for values in itertools.product(range(max_depth + 1), repeat=k):
         model = base.model.restrict(depth={a: (d,) * n
@@ -157,6 +156,15 @@ def leakage_formula(observer: int = 1) -> Formula:
     if observer == 1:
         return dual(announced, Know(1, Know(0, muddy_atom(0))))
     return dual(announced, Know(0, muddy_atom(0)))
+
+
+FORMULAS: dict[str, Callable[[int], Formula]] = {   # by name, for k children
+    "phi_k": phi_k,
+    "upper": lambda k: implies(upper_bound_hypothesis(k), phi_k(k)),
+    "lower": lambda k: implies(phi_k(k), lower_bound_conclusion(k)),
+    "amnesia": lambda k: amnesia_formula(),
+    "leakage": lambda k: leakage_formula(),
+}
 
 
 def proposition_matrix() -> dict[str, dict[str, bool]]:

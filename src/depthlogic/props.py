@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import cycle, islice
 from typing import Callable
 
@@ -40,7 +39,6 @@ class RandomSpec:
 @dataclass(frozen=True)
 class AxiomSchema:
     name: str
-    table: str
     instantiate: Callable[[random.Random, "RandomSpec"], Formula]
 
 
@@ -131,16 +129,15 @@ def _draw(rng: random.Random, spec: RandomSpec, *, announce=False,
                           announce=announce, kinf=kinf, agent=agent)
 
 
-def _row(table: str, name: str, build) -> AxiomSchema:
+def _row(name: str, build) -> AxiomSchema:
     """A schema whose instances draw an agent, then ``build`` the rest."""
     def inst(rng: random.Random, spec: RandomSpec) -> Formula:
         return build(rng, spec, rng.randrange(spec.agents))
-    return AxiomSchema(name, table, inst)
+    return AxiomSchema(name, inst)
 
 
-def _core_rows(table: str, announce: bool) -> list[AxiomSchema]:
+def _core_rows(announce: bool) -> list[AxiomSchema]:
     """The depth-gated K rows shared by the base table and both extensions."""
-    row = partial(_row, table)
 
     def taut(rng, spec, a):
         f = _draw(rng, spec, announce=announce)
@@ -192,21 +189,19 @@ def _core_rows(table: str, announce: bool) -> list[AxiomSchema]:
         return implies(Know(a, f), DepthAtLeast(a, modal_depth(f)))
 
     return [
-        row("tautology", taut),
-        row("deduction", deduction),
-        row("truth", truth),
-        row("positive introspection", pos_introspection),
-        row("negative introspection", neg_introspection),
-        row("depth monotonicity", depth_monotonicity),
-        row("exact depths", exact_depths),
-        row("unique depth", unique_depth),
-        row("depth deduction", depth_deduction),
+        _row("tautology", taut),
+        _row("deduction", deduction),
+        _row("truth", truth),
+        _row("positive introspection", pos_introspection),
+        _row("negative introspection", neg_introspection),
+        _row("depth monotonicity", depth_monotonicity),
+        _row("exact depths", exact_depths),
+        _row("unique depth", unique_depth),
+        _row("depth deduction", depth_deduction),
     ]
 
 
-def _announce_rows(table: str, dpal: bool) -> list[AxiomSchema]:
-    row = partial(_row, table)
-
+def _announce_rows(dpal: bool) -> list[AxiomSchema]:
     def atomic_permanence(rng, spec, a):
         phi = _draw(rng, spec, announce=True)
         p = Atom(rng.choice(ATOM_POOL))
@@ -254,10 +249,10 @@ def _announce_rows(table: str, dpal: bool) -> list[AxiomSchema]:
         return composition_instance(phi, psi, chi)
 
     rows = [
-        row("atomic permanence", atomic_permanence),
-        row("depth adjustment", depth_adjustment),
-        row("negation announcement", negation_announcement),
-        row("conjunction announcement", conjunction_announcement),
+        _row("atomic permanence", atomic_permanence),
+        _row("depth adjustment", depth_adjustment),
+        _row("negation announcement", negation_announcement),
+        _row("conjunction announcement", conjunction_announcement),
     ]
     if dpal:
         def kp_prime(rng, spec, a):
@@ -273,11 +268,11 @@ def _announce_rows(table: str, dpal: bool) -> list[AxiomSchema]:
             psi = _draw(rng, spec, announce=True, kinf=True)
             return kp_ta_instance("TAp", a, phi, psi)
 
-        rows += [row("knowledge preservation'", kp_prime),
-                 row("traditional announcements'", ta_prime)]
+        rows += [_row("knowledge preservation'", kp_prime),
+                 _row("traditional announcements'", ta_prime)]
     else:
-        rows += [row("knowledge announcement", knowledge_announcement),
-                 row("announcement composition", composition)]
+        rows += [_row("knowledge announcement", knowledge_announcement),
+                 _row("announcement composition", composition)]
     return rows
 
 
@@ -287,11 +282,9 @@ def composition_instance(phi: Formula, psi: Formula, chi: Formula) -> Formula:
 
 
 TABLE_ROWS: dict[str, list[AxiomSchema]] = {
-    TABLE_T1: _core_rows(TABLE_T1, announce=False),
-    TABLE_EDPAL: (_core_rows(TABLE_EDPAL, announce=True)
-                  + _announce_rows(TABLE_EDPAL, dpal=False)),
-    TABLE_DPAL_SOUND: (_core_rows(TABLE_DPAL_SOUND, announce=True)
-                       + _announce_rows(TABLE_DPAL_SOUND, dpal=True)),
+    TABLE_T1: _core_rows(announce=False),
+    TABLE_EDPAL: _core_rows(announce=True) + _announce_rows(dpal=False),
+    TABLE_DPAL_SOUND: _core_rows(announce=True) + _announce_rows(dpal=True),
 }
 
 _TABLE_KIND = {TABLE_T1: SemanticsKind.DBEL,
@@ -378,13 +371,6 @@ def _shrink_formula(f: Formula) -> list[Formula]:
 def minimize(m: Model, state: str, f: Formula, kind: SemanticsKind
              ) -> tuple[Model, str, Formula]:
     """Greedy shrink keeping the formula false at the designated state."""
-
-    def fails(model, s, g):
-        try:
-            return not check_naive(model, s, g, kind)
-        except Exception:
-            return False
-
     changed = True
     while changed:
         changed = False
@@ -393,7 +379,7 @@ def minimize(m: Model, state: str, f: Formula, kind: SemanticsKind
                 continue
             keep = [i for i in range(len(m.states)) if i != drop]
             smaller = m.restrict(keep)
-            if fails(smaller, state, f):
+            if not check_naive(smaller, state, f, kind):
                 m = smaller
                 changed = True
                 break
@@ -402,7 +388,7 @@ def minimize(m: Model, state: str, f: Formula, kind: SemanticsKind
         # only accept formula shrinks that keep the failure *non-trivial*:
         # the candidate must still be satisfiable somewhere on the model
         for g in _shrink_formula(f):
-            if g == f or not fails(m, state, g):
+            if g == f or check_naive(m, state, g, kind):
                 continue
             if any(check_naive(m, s, g, kind) for s in m.states):
                 f = g

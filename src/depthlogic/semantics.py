@@ -30,7 +30,7 @@ from itertools import chain, compress, count, repeat
 from typing import NamedTuple
 
 from .model import (EQUIVALENCE, REFLEXIVE, Model, ModelError, _bytes_of,
-                    _first_index_ids, bits_of, flags_of, mask_of)
+                    _first_index_ids, flags_of, mask_of)
 from .syntax import (And, Announce, Atom, DepthAtLeast, DepthExact, Formula,
                      Know, KnowInf, Not, TRUE_ATOM, modal_depth)
 
@@ -50,7 +50,6 @@ class ModeError(ValueError):
     pass
 
 
-_NO_DBEL_ANNOUNCE = "DBEL formulas cannot contain announcements"
 _NO_DBEL_UPDATE = "DBEL has no announcement update"
 
 
@@ -63,9 +62,7 @@ def _require_mode(m: Model, kind: SemanticsKind) -> None:
 # -- naive recursive checker (oracle) --
 
 def check_naive(m: Model, state: str, f: Formula, kind: SemanticsKind) -> bool:
-    code, _ = _program(m, f)
-    if kind is SemanticsKind.DBEL and any(op == _ANNOUNCE for op, *_ in code):
-        raise FragmentError(_NO_DBEL_ANNOUNCE)
+    _program(m, f, kind)
     _require_mode(m, kind)
     m.state_index(state)   # refuses an unknown state
     return _nv(m, state, f, kind)
@@ -93,8 +90,8 @@ def _nv(m: Model, s: str, f: Formula, kind: SemanticsKind) -> bool:
             return True
         pre = mask_of(_nv(m, t, f.announced, kind) for t in m.states)
         upd = update(m, f.announced, kind, pre)
-        image = update_image(kind, pre, m.n)
-        return _nv(upd, upd.states[image[m.state_index(s)]], f.sub, kind)
+        image = update_image(kind, pre, m.n, m.state_index(s))
+        return _nv(upd, upd.states[image], f.sub, kind)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -114,22 +111,24 @@ def update(m: Model, announced: Formula, kind: SemanticsKind,
     raise FragmentError(_NO_DBEL_UPDATE)
 
 
-def update_image(kind: SemanticsKind, pre: int, n: int) -> list[int | None]:
-    """Where an update sends each of n states: ``image[i]`` is the index of
-    ``states[i]``'s image in the updated model, or None if the update drops
-    it.  DPAL sends the announcement states (the bits of ``pre``) to their
-    ``1.`` copies, which follow the n ``0.`` copies in state order, and the
-    others to their ``0.`` copies; EDPAL keeps just the announcement states,
-    in order; ADPAL keeps every state in place."""
-    if kind is SemanticsKind.ADPAL:
-        return list(range(n))
+def update_image(kind: SemanticsKind, pre: int, n: int, i: int) -> int | None:
+    """Where an update of n states sends ``states[i]``: the index of its
+    image in the updated model, or None if the update drops it.  DPAL sends
+    the announcement states (the bits of ``pre``) to their ``1.`` copies,
+    which follow the n ``0.`` copies in state order, and the others to their
+    ``0.`` copies; EDPAL keeps just the announcement states, in order; ADPAL
+    keeps every state in place."""
     if kind is SemanticsKind.DBEL:
         raise FragmentError(_NO_DBEL_UPDATE)
+    if not 0 <= i < n:
+        raise ModelError(f"no state at index {i!r} (the model has {n})")
+    if kind is SemanticsKind.ADPAL:
+        return i
     dpal = kind is SemanticsKind.DPAL
-    image: list[int | None] = list(range(n)) if dpal else [None] * n
-    for i, j in zip(bits_of(pre), count(n if dpal else 0)):
-        image[i] = j
-    return image
+    if not pre >> i & 1:
+        return i if dpal else None
+    # an announcement state's rank among pre's set bits
+    return (pre & ((1 << i) - 1)).bit_count() + (n if dpal else 0)
 
 
 def announcement_steps(m: Model, announcements: list[Formula],
@@ -141,7 +140,7 @@ def announcement_steps(m: Model, announcements: list[Formula],
     for phi in announcements:
         pre = check_labeling(cur, phi, kind).root_mask
         if here is not None:
-            here = update_image(kind, pre, cur.n)[here]
+            here = update_image(kind, pre, cur.n, here)
         cur = update(cur, phi, kind, pre)
         steps.append((cur, None if here is None else cur.states[here]))
     return steps
@@ -308,7 +307,7 @@ _AND, _NOT, _ATOM, _ANNOUNCE, _DEPTH, _KNOW = range(6)
 
 
 def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
-    """The program ``(code, top_agent)`` over the distinct node objects
+    """The program ``(code, top_agent, announces)`` over the distinct nodes
     under ``roots``, and each node's slot by id (good while they live).
     ``code`` has one instruction per node, in post-order, whose operands are
     earlier slots.  Leaves carry their mask keys (see ``Model._mask``), E(d)
@@ -316,7 +315,8 @@ def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
     of all announcements of one announced node object form one program, run
     on the updated model; each such announcement carries the announced node,
     that program, the node's ``modal_depth`` and its body's slot there.
-    ``top_agent`` is the largest agent index named anywhere, or -1."""
+    ``top_agent`` is the largest agent index named anywhere, or -1, and
+    ``announces`` whether any node is an announcement."""
     order, slot, stack = [], {}, roots[::-1]
     bodies: dict[int, list[Formula]] = {}   # by announced node
     while stack:
@@ -345,7 +345,7 @@ def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
         elif cls is Atom:
             code.append((_ATOM, ("atom", g.name), g.name == TRUE_ATOM, None))
         elif cls is Announce:
-            (body, _), body_slot = groups[id(g.announced)]
+            (body, *_), body_slot = groups[id(g.announced)]
             code.append((_ANNOUNCE, slot[id(g.announced)],
                          (g.announced, body, modal_depth(g.announced)),
                          body_slot[id(g.sub)]))
@@ -360,7 +360,7 @@ def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
         else:
             raise TypeError(f"not a formula: {g!r}")
         top = max(top, getattr(g, "agent", -1))
-    return (tuple(code), top), slot
+    return (tuple(code), top, bool(bodies)), slot
 
 
 @dataclass
@@ -472,8 +472,6 @@ def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
             mask = full if b else masks.get(a)
             put(model._mask(a) if mask is None else mask)
         elif op == _ANNOUNCE:
-            if kind is SemanticsKind.DBEL:
-                raise FragmentError(_NO_DBEL_ANNOUNCE)
             pre = slots[a]
             if not pre:   # [phi]psi holds wherever phi fails: everywhere
                 put(full)
@@ -498,14 +496,17 @@ def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
     return slots
 
 
-def _program(m: Model, f: Formula) -> tuple:
-    """f's compiled program (kept on f), once f names no agent m lacks."""
+def _program(m: Model, f: Formula, kind: SemanticsKind) -> tuple:
+    """f's compiled program (kept on f), once f names no agent m lacks and,
+    under DBEL, holds no announcement."""
     prog = f._program
     if prog is None:
         prog = _compile([f])[0]
         object.__setattr__(f, "_program", prog)
     if prog[1] >= m.agents:
         raise ModelError(f"formula names unknown agent {prog[1]}")
+    if prog[2] and kind is SemanticsKind.DBEL:
+        raise FragmentError("DBEL formulas cannot contain announcements")
     return prog
 
 
@@ -518,7 +519,7 @@ def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
     reads no relation.  The update memo is keyed by ids, unique while it
     lives (the program holds every node, ``runs`` every updated model), and
     is dropped on return with the labels."""
-    prog = _program(m, f)
+    prog = _program(m, f, kind)
     _require_mode(m, kind)
     runs: list[tuple[Model, list[int]]] = []
     root_mask = _run(m, prog[0], kind, {}, runs)[-1]

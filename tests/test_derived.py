@@ -206,7 +206,7 @@ def masks(m: Model) -> list[int]:
 
 
 FIRST_READS = ([("names", lambda m: m.states),
-                ("index", lambda m: m.has_state(""))]
+                ("index", lambda m: m.state_index(m.states[-1]))]
                + [(f"{what}({a})", lambda m, a=a, what=what:
                    getattr(m, what)(a))
                   for a in range(5) for what in ("class_ids", "depths")])

@@ -21,7 +21,6 @@ from depthlogic.model import (
     flags_of,
     is_unambiguous,
     load_model,
-    loads_model,
     mask_of,
     model_from_dict,
     model_size,
@@ -249,7 +248,7 @@ class TestSerialization:
         text = canonical_json(chain_model(mode="reflexive", close=False))
         text = text.replace('"reflexive"', '"equivalence"')
         with pytest.warns(UserWarning):
-            m = loads_model(text)
+            m = model_from_dict(json.loads(text))
         assert validate(m, "equivalence") is None
         assert m.successors(0, "a") == {"a", "b", "c"}
 
@@ -286,7 +285,7 @@ class TestSerialization:
 
     def test_negative_depths_load(self):
         text = canonical_json(chain_model()).replace('"a": 0', '"a": -2')
-        assert loads_model(text).depth(0, "a") == -2
+        assert model_from_dict(json.loads(text)).depth(0, "a") == -2
 
     @pytest.mark.parametrize("depth", [{"0": {"zz": 1}}, {"1": {"a": 1}},
                                        {"-1": {"a": 1}}])
@@ -346,7 +345,7 @@ class TestSerialization:
 
     def test_document_that_is_not_an_object_rejected(self):
         with pytest.raises(ModelError, match="malformed model document"):
-            loads_model("[1, 2]")
+            model_from_dict(json.loads("[1, 2]"))
 
 
 class TestDepthsByIndex:
@@ -537,8 +536,13 @@ class TestStreamingWriter:
 
 def test_bits_of_lists_set_bits_in_order():
     rng = random.Random(9)
-    for mask in [0, 1, 2, 5, 1 << 70] + [rng.getrandbits(200)
-                                          for _ in range(20)]:
+    # each side of the rule that reads at most 8 set bits one at a time:
+    # 8 and 9 set bits spread over 300 positions, and single bits at 0..70
+    spread = [sum(1 << i for i in rng.sample(range(300), ones))
+              for ones in (8, 9) for _ in range(10)]
+    for mask in ([0, 1, 2, 5, 1 << 70] + [rng.getrandbits(200)
+                                           for _ in range(20)]
+                 + spread + [1 << i for i in range(71)]):
         assert list(bits_of(mask)) == [i for i in range(mask.bit_length())
                                        if mask >> i & 1]
 

@@ -6,7 +6,9 @@ import hashlib
 import itertools
 import random
 
+import pytest
 
+from depthlogic import props
 from depthlogic.model import canonical_json, validate
 from depthlogic.props import (
     TABLE_DPAL_SOUND,
@@ -20,6 +22,7 @@ from depthlogic.props import (
     kp_ta_suite,
     kpp_depth_atom_witness,
     leakage_fixture,
+    minimize,
     necessitation_probe,
     random_formula,
     random_model,
@@ -216,3 +219,19 @@ def test_violation_reports_recheck_against_naive_oracle():
     for v in r.violations:
         assert not check_naive(v.model, v.state, v.formula,
                                SemanticsKind.DPAL)
+
+
+def test_minimize_lets_a_checker_error_through(monkeypatch):
+    # a checker bug must stop the suite, not quietly end the shrink
+    m, s, f = kpp_depth_atom_witness()
+    assert len(m.states) == 2 and not check_naive(m, s, f, SemanticsKind.DPAL)
+    calls = itertools.count(1)
+
+    def failing_second_call(*args):
+        if next(calls) == 2:
+            raise RuntimeError("checker bug")
+        return check_naive(*args)
+
+    monkeypatch.setattr(props, "check_naive", failing_second_call)
+    with pytest.raises(RuntimeError, match="checker bug"):
+        minimize(m, s, f, SemanticsKind.DPAL)

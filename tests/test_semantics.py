@@ -61,6 +61,14 @@ from depthlogic.syntax import (
 
 ALL_KINDS = (SemanticsKind.DPAL, SemanticsKind.EDPAL, SemanticsKind.ADPAL)
 
+# every checker entry point, as (model, state, formula, kind) -> result
+_CHECKERS = {
+    "check": check,
+    "check_labeling": lambda m, s, f, kind: check_labeling(m, f, kind),
+    "holds_everywhere": lambda m, s, f, kind: holds_everywhere(m, f, kind),
+    "check_naive": check_naive,
+}
+
 
 class TestCheck:
     def test_depth_gate(self, one_state_model):
@@ -269,8 +277,6 @@ class TestUpdateImage:
             upd = update(m, phi, kind, pre)
             # pre=None computes the same mask with check_labeling
             assert canonical_json(update(m, phi, kind)) == canonical_json(upd)
-            image = update_image(kind, pre, len(m.states))
-            assert len(image) == len(m.states)
             for i, s in enumerate(m.states):
                 heard = bool(pre >> i & 1)
                 if kind is SemanticsKind.DPAL:
@@ -279,14 +285,20 @@ class TestUpdateImage:
                     expected = s if heard else None
                 else:
                     expected = s
-                j = image[i]
+                j = update_image(kind, pre, len(m.states), i)
                 assert (None if j is None else upd.states[j]) == expected
                 if j is not None:
                     assert upd.atoms(upd.states[j]) == m.atoms(s)
 
     def test_dbel_has_no_image(self):
         with pytest.raises(FragmentError):
-            update_image(SemanticsKind.DBEL, 1, 1)
+            update_image(SemanticsKind.DBEL, 1, 1, 0)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("i", [-1, 3, 4])
+    def test_index_outside_the_model_refused(self, kind, i):
+        with pytest.raises(ModelError, match="no state at index"):
+            update_image(kind, 0b101, 3, i)
 
     @pytest.mark.parametrize("kind,tracked", [
         (SemanticsKind.DPAL, ["s", "0.s", "1.0.s"]),
@@ -303,7 +315,7 @@ class TestUpdateImage:
         steps = semantics.announcement_steps(m, announcements, kind, state="s")
         assert [here for _, here in steps] == tracked
         for model, here in steps:
-            assert here is None or model.has_state(here)
+            assert here is None or here in model.states
         text = dot.sequence_to_dot(m, announcements, kind, state="s")
         assert text.count("fillcolor") == sum(h is not None for h in tracked)
 
@@ -326,7 +338,7 @@ class TestPullBack:
                 upd = update(m, phi, kind, pre)
                 if kind is SemanticsKind.EDPAL and not pre:
                     assert upd.n == 0 and upd.states == ()
-                image = update_image(kind, pre, n)
+                image = [update_image(kind, pre, n, i) for i in range(n)]
                 for body in (0, (1 << upd.n) - 1, rng.getrandbits(upd.n)):
                     expected = mask_of(
                         bool(pre >> i & 1 and body >> j & 1)
@@ -543,7 +555,7 @@ class TestProgram:
         assert g == f and g is not f and g._program is not None
         # the copy's program refers to the copy's own nodes
         nodes = {id(h) for h in walk(g)}
-        code, _ = g._program
+        code, *_ = g._program
         announced = [b[0] for op, _, b, _ in code
                      if op == semantics._ANNOUNCE]
         assert announced and all(id(a) in nodes for a in announced)
@@ -558,6 +570,19 @@ class TestProgram:
         check_labeling(m, f, SemanticsKind.DPAL)
         with pytest.raises(FragmentError):
             check(m, "111", f, SemanticsKind.DBEL)
+
+    @pytest.mark.parametrize("checker", _CHECKERS.values(), ids=_CHECKERS)
+    @pytest.mark.parametrize("text,reflexive", [
+        ("[p0] p0", True), ("[[p] q] r", False), ("K[0] [p] q", False)])
+    def test_every_checker_refuses_dbel_announcements_alike(
+            self, checker, text, reflexive):
+        # on the reflexive model the fragment is refused before the mode
+        m, s = (leakage_fixture()[:2] if reflexive
+                else (build_muddy(3, 3, canonical_depths(3)).model, "111"))
+        with pytest.raises(FragmentError) as refused:
+            checker(m, s, parse(text), SemanticsKind.DBEL)
+        assert (str(refused.value)
+                == "DBEL formulas cannot contain announcements")
 
     @pytest.mark.parametrize("text,agent", [
         ("K[5] m0", 5), ("P[5,1]", 5), ("E[7,0]", 7),
