@@ -2,15 +2,17 @@
 
 Each schema instantiates its metavariables with random formulas drawn from
 the fragment its table is stated for, and the suites check the instances for
-validity on pools of random models.  Any violation is re-checked against the
-naive recursive evaluator and greedily minimized before being reported.
+validity on pools of random models.  Every randomized search here yields
+(name, instance, models) draws to ``_run``, which checks each instance up to
+its first failing model, re-checks that failure against the naive recursive
+evaluator and greedily minimizes it before reporting it.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import cycle, islice
 from typing import Callable
 
@@ -343,10 +345,6 @@ class SuiteReport:
     checks: int = 0
     violations: list[Violation] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def _shrink_formula(f: Formula) -> list[Formula]:
     out: list[Formula] = []
@@ -397,21 +395,6 @@ def minimize(m: Model, state: str, f: Formula, kind: SemanticsKind
     return m, state, f
 
 
-def _record(report: SuiteReport, name: str, f: Formula, m: Model,
-            kind: SemanticsKind) -> bool:
-    """Whether f fails somewhere on m, recording its minimized violation."""
-    ok, state = holds_everywhere(m, f, kind)
-    if ok:
-        return False
-    # guard against labeling bugs: only surface if the naive oracle agrees
-    if check_naive(m, state, f, kind):
-        raise AssertionError(
-            f"labeling/naive checker disagreement on {to_text(f)} at {state}")
-    m, state, f = minimize(m, state, f, kind)
-    report.violations.append(Violation(name, f, m, state))
-    return True
-
-
 # -- suites --
 
 def _run(report: SuiteReport,
@@ -423,10 +406,18 @@ def _run(report: SuiteReport,
         report.cases += 1
         for m in models:
             report.checks += 1
-            if _record(report, name, inst, m, report.kind):
-                if len(report.violations) >= max_violations:
-                    return report
-                break
+            ok, state = holds_everywhere(m, inst, report.kind)
+            if ok:
+                continue
+            # guard against labeling bugs: surface only if the oracle agrees
+            if check_naive(m, state, inst, report.kind):
+                raise AssertionError(f"labeling/naive checker disagreement "
+                                     f"on {to_text(inst)} at {state}")
+            m, state, f = minimize(m, state, inst, report.kind)
+            report.violations.append(Violation(name, f, m, state))
+            if len(report.violations) >= max_violations:
+                return report
+            break
     return report
 
 
@@ -543,21 +534,23 @@ def leakage_fixture() -> tuple[Model, str, Formula, Formula, int]:
 def find_composition_counterexample(spec: RandomSpec, attempts: int = 5000
                                     ) -> tuple[Model, str, Formula] | None:
     """Random search for a DPAL failure of announcement composition on
-    models with at most three states."""
+    models with at most three states: the first one found, minimized."""
     rng = random.Random(spec.seed)
-    small = RandomSpec(max_size=spec.max_size, agents=spec.agents,
-                       max_depth=spec.max_depth, max_states=3, seed=spec.seed)
-    for _ in range(attempts):
-        m = random_model(rng, small)
-        phi = random_formula(rng, small, rng.randint(1, 4), announce=True)
-        psi = random_formula(rng, small, rng.randint(1, 4), announce=True)
-        chi = random_formula(rng, small, rng.randint(1, 4), announce=True)
-        inst = composition_instance(phi, psi, chi)
-        ok, state = holds_everywhere(m, inst, SemanticsKind.DPAL)
-        if not ok and not check_naive(m, state, inst, SemanticsKind.DPAL):
-            m2, state2, _ = minimize(m, state, inst, SemanticsKind.DPAL)
-            return m2, state2, inst
-    return None
+    small = replace(spec, max_states=3)
+
+    def draws():
+        for _ in range(attempts):
+            m = random_model(rng, small)
+            phi = random_formula(rng, small, rng.randint(1, 4), announce=True)
+            psi = random_formula(rng, small, rng.randint(1, 4), announce=True)
+            chi = random_formula(rng, small, rng.randint(1, 4), announce=True)
+            yield "composition", composition_instance(phi, psi, chi), (m,)
+
+    report = _run(SuiteReport("composition", SemanticsKind.DPAL), draws(), 1)
+    if not report.violations:
+        return None
+    v = report.violations[0]
+    return v.model, v.state, v.formula
 
 
 def necessitation_probe(spec: RandomSpec, cases: int = 40,
@@ -566,21 +559,15 @@ def necessitation_probe(spec: RandomSpec, cases: int = 40,
     model pool, then P[a,d(phi)] -> K[a]phi must be too."""
     rng = random.Random(spec.seed)
     pool = [random_model(rng, spec) for _ in range(pool_size)]
-    report = SuiteReport(name="necessitation", kind=SemanticsKind.DBEL)
-    found = 0
-    budget = cases * 500
-    while found < cases and budget > 0:
-        budget -= 1
-        f = random_formula(rng, spec)
-        report.checks += 1
-        if not all(holds_everywhere(m, f, SemanticsKind.DBEL)[0]
+
+    def draws():
+        for _ in range(cases * 500):
+            f = random_formula(rng, spec)
+            if all(holds_everywhere(m, f, SemanticsKind.DBEL)[0]
                    for m in pool):
-            continue
-        found += 1
-        report.cases += 1
-        a = rng.randrange(spec.agents)
-        g = implies(DepthAtLeast(a, modal_depth(f)), Know(a, f))
-        for m in pool:
-            if _record(report, "necessitation", g, m, SemanticsKind.DBEL):
-                break
-    return report
+                a = rng.randrange(spec.agents)
+                g = implies(DepthAtLeast(a, modal_depth(f)), Know(a, f))
+                yield "necessitation", g, pool
+
+    return _run(SuiteReport("necessitation", SemanticsKind.DBEL),
+                islice(draws(), cases), cases)

@@ -185,6 +185,22 @@ class TestComposition:
         assert not check_naive(m, s, f, SemanticsKind.DPAL)
         assert len(m.states) <= 3
 
+    @pytest.mark.parametrize("seed", [4, 33, 36, 39])
+    def test_search_returns_the_formula_its_model_was_shrunk_for(self, seed):
+        # at these seeds the unshrunk instance holds on the shrunk model
+        m, s, f = find_composition_counterexample(
+            RandomSpec(seed=seed, max_states=3))
+        assert not check_naive(m, s, f, SemanticsKind.DPAL)
+        assert len(m.states) <= 3
+
+    def test_search_surfaces_a_checker_disagreement(self, monkeypatch):
+        # a labeling/oracle disagreement must stop the search, not be
+        # skipped; at seed 16 labeling finds a failure within 50 draws
+        monkeypatch.setattr(props, "check_naive", lambda *args: True)
+        with pytest.raises(AssertionError, match="disagreement"):
+            find_composition_counterexample(RandomSpec(seed=16, max_states=3),
+                                            attempts=50)
+
     def test_frozen_fixture_still_fails(self, composition_fixture):
         from depthlogic.syntax import parse
 
