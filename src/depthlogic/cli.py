@@ -8,10 +8,7 @@ Exit codes: 0 ok, 1 property-suite violation, 2 formula/flag parse error,
 from __future__ import annotations
 
 import argparse
-import ast
-import contextlib
 import functools
-import operator
 import sys
 
 from . import dot as dotmod
@@ -96,56 +93,36 @@ def cmd_sat(args: argparse.Namespace) -> int:
     return 0
 
 
-_DEPTH_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
-              ast.Mult: operator.mul, ast.FloorDiv: operator.floordiv,
-              ast.Mod: operator.mod}
-
-
-def _depth_value(node: ast.expr, env: dict[str, int]) -> int:
-    """A whitelisted integer expression's value; ``ParseError`` otherwise."""
-    match node:
-        case ast.Constant(value=value) if type(value) is int:
-            return value
-        case ast.Name(id=name) if name in env:
-            return env[name]
-        case ast.UnaryOp(op=ast.USub(), operand=operand):
-            return -_depth_value(operand, env)
-        case ast.BinOp(left=x, op=op, right=y) if type(op) in _DEPTH_OPS:
-            values = _depth_value(x, env), _depth_value(y, env)
-            with contextlib.suppress(ZeroDivisionError):  # reported below
-                return _DEPTH_OPS[type(op)](*values)
-        case ast.Call(func=ast.Name(id="min" | "max" as fn), args=[_, *_],
-                      keywords=[]):
-            return (min if fn == "min" else max)(
-                _depth_value(arg, env) for arg in node.args)
-    raise ParseError(f"--depths cannot evaluate {ast.unparse(node)!r}",
-                     line=node.lineno, column=node.col_offset + 1)
-
-
-def _depth_fn(spec_text: str, k: int, n: int) -> muddymod.DepthFn:
-    """``--depths``: one expression in i (the child), k and n, evaluated for
-    each of the n children, or a comma list of n such expressions."""
-    try:
-        tree = ast.parse(spec_text, mode="eval").body
-    except SyntaxError as exc:
-        raise ParseError(f"--depths: {exc.msg}", line=exc.lineno or 1,
-                         column=exc.offset or 1) from None
-    exprs = tree.elts if isinstance(tree, ast.Tuple) else [tree] * n
-    if len(exprs) != n:
+def _depth_fn(text: str, n: int) -> muddymod.DepthFn:
+    """``--depths``: one depth for every child, or a comma list of n."""
+    fields, start = [], 1   # (value, column of its first character)
+    for field in text.split(","):
+        value = field.strip(" \t")
+        fields.append((value, start + len(field) - len(field.lstrip(" \t"))))
+        start += len(field) + 1
+    if len(fields) not in (1, n):
         # point at the first surplus value, or past the end
-        column = (exprs[n].col_offset + 1 if len(exprs) > n
-                  else len(spec_text) + 1)
-        raise ParseError(f"--depths needs {n} values, got {len(exprs)}",
+        column = fields[n][1] if len(fields) > n else len(text) + 1
+        raise ParseError(f"--depths needs {n} values, got {len(fields)}",
                          line=1, column=column)
-    return muddymod.constant_depths([_depth_value(e, {"i": i, "k": k, "n": n})
-                                     for i, e in enumerate(exprs)])
+    values = []
+    for value, column in fields:
+        if not (value.isascii() and value.isdigit()):
+            raise ParseError("--depths takes non-negative integers (digits "
+                             "0-9)", line=1, column=column)
+        try:
+            values.append(int(value))
+        except ValueError:   # longer than int()'s digit limit
+            raise ParseError(f"--depths value of {len(value)} digits is too "
+                             "long", line=1, column=column) from None
+    return muddymod.constant_depths(values if len(values) == n else values * n)
 
 
 def cmd_muddy(args: argparse.Namespace) -> int:
     k = args.k
-    n = args.n or k
+    n = k if args.n is None else args.n
     depth_fn = (muddymod.canonical_depths(k) if args.depths is None
-                else _depth_fn(args.depths, k, n))
+                else _depth_fn(args.depths, n))
     inst = muddymod.build_muddy(n, k, depth_fn)
     kind = _semantics(args.semantics)
     f = muddymod.FORMULAS[args.which](k)
@@ -230,10 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sat)
 
     p = sub.add_parser("muddy", help="muddy children experiments")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), default=None)
+    p.add_argument("--k", type=_at_least(1), required=True)
     p.add_argument("--depths", default=None,
-                   help="comma list per child, or expression in i/k/n")
+                   help="a depth for all children, or a comma list of n")
     p.add_argument("--formula", dest="which", default="phi_k",
                    choices=muddymod.FORMULAS)
     p.add_argument("--dot", default=None)

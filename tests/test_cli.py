@@ -222,15 +222,16 @@ class TestMuddy:
         assert rc == 0
         assert "true" in capsys.readouterr().out
 
-    def test_depth_expression(self, capsys):
-        rc = main(["muddy", "--k", "3", "--depths", "k-1-i",
+    def test_depth_list(self, capsys):
+        rc = main(["muddy", "--k", "3", "--depths", "2,1,0",
                    "--formula", "upper", "--semantics", "EDPAL"])
         assert rc == 0
         assert "true" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("depths", ["n-k", "min(n-k, 5)"])
-    def test_depth_expression_binds_k_and_n(self, capsys, depths):
-        # with k=2 of n=3 children muddy, child 0 needs depth 1 to learn
+    @pytest.mark.parametrize("depths", ["1,1,1", "1"])
+    def test_depths_for_n_children(self, capsys, depths):
+        # with k=2 of n=3 children muddy, child 0 needs depth 1 to learn;
+        # a single value is every child's depth
         rc = main(["muddy", "--n", "3", "--k", "2", "--depths", depths])
         assert rc == 0
         assert capsys.readouterr().out.endswith("true\n")
@@ -248,6 +249,35 @@ class TestMuddy:
         rc = main(["muddy", "--k", "3", "--depths", depths])
         assert rc == 2
         assert f"(line 1, column {column})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depths,column", [
+        ("2,-1,0", 3), ("k-5", 1), ("1_0,1,1", 1), ("+1,1,1", 1),
+        ("\u0662,1,0", 1), ("1,2," + "9" * 5000, 5), ("2,1,0,", 7)])
+    def test_depth_outside_the_grammar_exits_2(self, capsys, depths, column):
+        # values are ASCII digits only; a trailing comma adds an empty value
+        rc = main(["muddy", "--k", "3", f"--depths={depths}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"(line 1, column {column})" in err
+        assert len(err) < 200   # an over-long value is not echoed
+
+    @pytest.mark.parametrize("argv", [["--k", "2", "--n", "0"], ["--k", "0"]])
+    def test_fewer_than_one_child_exits_2(self, capsys, argv):
+        assert main(["muddy", *argv]) == 2
+        assert capsys.readouterr().out == ""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.lists(
+        st.from_regex(r"[ ]?[0-9]{1,2}[ ]?", fullmatch=True)
+        | st.text(st.sampled_from("0123456789 -+_ik\u0662"), max_size=3),
+        min_size=1, max_size=4).map(",".join))
+    def test_depths_are_one_or_three_ascii_integers(self, text):
+        """Comma-joined fields, well-formed ones drawn often enough that
+        one- and three-value lists both occur."""
+        rc = main(["muddy", "--k", "3", f"--depths={text}"])
+        value = r"[ ]*[0-9]+[ ]*"
+        assert rc == (0 if re.fullmatch(f"{value}|{value},{value},{value}",
+                                        text) else 2)
 
     def test_amnesia_only_under_edpal(self, capsys):
         rc = main(["muddy", "--k", "3", "--formula", "amnesia",
