@@ -21,11 +21,12 @@ Depths and atoms are stored by state index too: one tuple per agent, and
 one of atom sets, in state order (``depths(a)``, ``valuation()``); ``n`` is
 the state count.  Updates build these tuples directly from their input's.
 
-Input is validated once, at the boundary: ``Model(...)``, ``model_from_dict``
-and ``Model.restrict`` check everything they are given.  The models the
-checker derives from valid ones (the DPAL, EDPAL and ADPAL updates and the
-``sat`` candidates) are trusted: ``Model._derived`` sets their columns as
-given and re-checks none of them.  Their name index is built on first read,
+Input is validated once, at the boundary: ``Model(...)`` and
+``model_from_dict`` check everything they are given, and ``Model.restrict``
+its indices.  The models the checker derives from valid ones (the DPAL,
+EDPAL and ADPAL updates, the ``sat`` candidates and the lower-bound sweep's
+depth variants) are trusted: ``Model._derived`` sets their columns as given
+and re-checks none of them.  Their name index is built on first read,
 and so is all of a DPAL or EDPAL update but its valuation: names, class ids
 and masks from its parent's, depth tuples only when read.
 
@@ -133,8 +134,23 @@ class Model:
                                      f"successors, itself included")
                 succ[a] = tuple([sum(map(bit, map(index.__getitem__, ts)))
                                  for ts in sets])
-        self._fill(agents, states, vmap, _depth_columns(agents, index, depth),
-                   mode, ids, succ, index)
+        depth = depth or {}
+        for a in depth:
+            if not 0 <= a < agents:
+                raise ModelError(f"depth for unknown agent {a}")
+        dmap = {}
+        for a in range(agents):
+            da = depth.get(a, {})
+            if isinstance(da, (tuple, list)):
+                if len(da) != len(states):
+                    raise ModelError(f"agent {a} needs one depth per state")
+                dmap[a] = tuple(map(int, da))
+            elif da.keys() <= index.keys():
+                dmap[a] = tuple(map(int, map(da.get, states, repeat(0))))
+            else:
+                unknown = min(da.keys() - index.keys())
+                raise ModelError(f"depth for unknown state {unknown!r}")
+        self._fill(agents, states, vmap, dmap, mode, ids, succ, index)
 
     @classmethod
     def _derived(cls, agents: int, states: tuple[str, ...] | None,
@@ -310,16 +326,11 @@ class Model:
             masks = self._succ[agent] = tuple(map(members.__getitem__, ids))
         return masks
 
-    def restrict(self, keep: Sequence[int] | None = None,
-                 depth: Mapping[int, tuple[int, ...] | list[int]]
-                 | None = None) -> Model:
-        """The submodel on the states at the indices ``keep`` (default: all),
-        in that order, with per-agent depths ``depth`` in the submodel's state
-        order (default: these).  A repeated or out-of-range index (negative
-        ones too) is refused, and so is a depth for an unknown agent or of the
-        wrong length."""
+    def restrict(self, keep: Sequence[int]) -> Model:
+        """The submodel on the states at the indices ``keep``, in that order.
+        A repeated or out-of-range index (negative ones too) is refused."""
         n = self.n
-        keep = range(n) if keep is None else list(keep)
+        keep = list(keep)
         kept = set(keep)
         outside = kept.difference(range(n))
         if outside:
@@ -328,11 +339,8 @@ class Model:
         if len(kept) != len(keep):
             raise ModelError("restrict keeps a state index twice")
         states = tuple(map(self.states.__getitem__, keep))
-        if depth is None:
-            depth = {a: tuple(map(self.depths(a).__getitem__, keep))
-                     for a in range(self.agents)}
-        else:
-            depth = _depth_columns(self.agents, dict.fromkeys(states), depth)
+        depth = {a: tuple(map(self.depths(a).__getitem__, keep))
+                 for a in range(self.agents)}
         val = tuple(map(self._val.__getitem__, keep))
         if self.mode == EQUIVALENCE:
             ids = {a: _first_index_ids(
@@ -399,31 +407,6 @@ def _members(ids: Iterable[int]) -> dict[int, list[int]]:
 def _first_index_ids(column: Iterable[Hashable]) -> tuple[int, ...]:
     first: dict[Hashable, int] = {}
     return tuple(map(first.setdefault, column, count()))
-
-
-def _depth_columns(agents: int, names: Mapping[str, object],
-                   depth: Mapping[int, Mapping[str, int] | tuple[int, ...]
-                                  | list[int]] | None
-                   ) -> dict[int, tuple[int, ...]]:
-    """Per agent, its depths as ints in the order of the state ``names``
-    (a mapping keyed by them), from ``Model``'s ``depth`` argument."""
-    depth = depth or {}
-    for a in depth:
-        if not 0 <= a < agents:
-            raise ModelError(f"depth for unknown agent {a}")
-    dmap = {}
-    for a in range(agents):
-        da = depth.get(a, {})
-        if isinstance(da, (tuple, list)):
-            if len(da) != len(names):
-                raise ModelError(f"agent {a} needs one depth per state")
-            dmap[a] = tuple(map(int, da))
-        elif da.keys() <= names.keys():
-            dmap[a] = tuple(map(int, map(da.get, names, repeat(0))))
-        else:
-            unknown = min(da.keys() - names.keys())
-            raise ModelError(f"depth for unknown state {unknown!r}")
-    return dmap
 
 
 def _components(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -635,7 +618,6 @@ def model_from_dict(data: Mapping) -> Model:
         agents = _typed(data["agents"], int, "agents")
         states = _typed(data["states"], list, "states")
         _each(states, str, "a state")
-        index = dict(zip(states, count()))
         mode = data.get("mode", EQUIVALENCE)
         val = section("val")
         _each(val.values(), list, "a valuation")
@@ -645,13 +627,7 @@ def model_from_dict(data: Mapping) -> Model:
             _each(_typed(pairs, list, "a relation"), list, "a pair")
             if set(map(len, pairs)) - {2}:
                 raise ValueError("a pair must name two states")
-            try:   # each pair's source and target index, flat
-                ends = list(map(index.__getitem__, chain.from_iterable(pairs)))
-            except (KeyError, TypeError):   # a name not a string, or unknown
-                _each(chain.from_iterable(pairs), str, "a state")
-                ends = tuple(next(p for p in pairs
-                                  if not index.keys() >= set(p)))
-            rel[_agent(a)] = ends
+            rel[_agent(a)] = pairs
         depth = {}
         for a, per in section("depth").items():
             _each(_typed(per, Mapping, "a depth map").values(), int,
@@ -659,22 +635,30 @@ def model_from_dict(data: Mapping) -> Model:
             depth[_agent(a)] = per
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model document: {exc}") from exc
-    for a, ends in rel.items():
+    for a in rel:
         if not 0 <= a < agents:
             raise ModelError(f"relation for unknown agent {a}")
-        if type(ends) is tuple:   # the first pair naming an unknown state
-            raise ModelError(f"relation pair {ends!r} uses unknown state")
-    n = len(states)
-    if mode == REFLEXIVE:   # checked with identity relations, then the arcs
-        m = Model(agents, states, val, depth, mode)
-        for a, flat in rel.items():   # loops and repeats set a bit again
+    # checked with identity relations; each agent's arcs then set its column
+    m = Model(agents, states, val, depth, mode)
+    index = m._index
+    n = m.n
+    for a, pairs in rel.items():
+        try:   # each pair's source and target index, flat
+            flat = list(map(index.__getitem__, chain.from_iterable(pairs)))
+        except (KeyError, TypeError):   # a name not a string, or unknown
+            try:
+                _each(chain.from_iterable(pairs), str, "a state")
+            except TypeError as exc:
+                raise ModelError(f"malformed model document: {exc}") from exc
+            bad = next(p for p in pairs if not index.keys() >= set(p))
+            raise ModelError(f"relation pair {tuple(bad)!r} uses unknown "
+                             f"state") from None
+        if mode == REFLEXIVE:   # loops and repeats set a bit again
             masks = list(m._succ[a])
             for i, bit in zip(flat[::2], map((1).__lshift__, flat[1::2])):
                 masks[i] |= bit
             m._succ[a] = tuple(masks)
-        return m
-    class_ids = {}
-    for a, flat in rel.items():
+            continue
         src, dst = flat[::2], flat[1::2]
         codes = list(map(add, map(mul, src, repeat(n)), dst))
         if not (all(map(lt, codes, islice(codes, 1, None)))
@@ -699,8 +683,8 @@ def model_from_dict(data: Mapping) -> Model:
                 f"agent {a} relation was not closed ({report.property} "
                 f"fails at {report.witness}); applying symmetric transitive "
                 f"closure", stacklevel=2)
-        class_ids[a] = ids
-    return Model(agents, states, val, depth, mode, class_ids=class_ids)
+        m._ids[a] = tuple(ids)   # least indices: first-index already
+    return m
 
 
 def load_model(path: str) -> Model:

@@ -123,15 +123,18 @@ def lower_bound_check(k: int, depth_fn: DepthFn) -> bool:
 
 def lower_bound_sweep(k: int, max_depth: int = 3) -> SweepReport:
     """Exhaustive sweep over constant-per-agent depth assignments; also
-    asserts the contrapositive witness: a too-shallow child 0 never learns."""
+    asserts the contrapositive witness: a too-shallow child 0 never learns.
+    Each variant shares M_k's columns, with constant depth tuples."""
     report = SweepReport(k=k)
     base = build_muddy(k, k, canonical_depths(k))
     phi = phi_k(k)
     f = FORMULAS["lower"](k)
-    n = len(base.model.states)
+    m = base.model
+    columns = [(d,) * m.n for d in range(max_depth + 1)]
     for values in itertools.product(range(max_depth + 1), repeat=k):
-        model = base.model.restrict(depth={a: (d,) * n
-                                           for a, d in enumerate(values)})
+        depth = {a: columns[d] for a, d in enumerate(values)}
+        model = Model._derived(k, m.states, m.valuation(), depth,
+                               EQUIVALENCE, ids=m._ids, index=m._index)
         report.cases += 1
         if not check(model, base.initial, f, SemanticsKind.DPAL):
             report.violations += 1

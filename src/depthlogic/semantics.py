@@ -62,7 +62,7 @@ def _require_mode(m: Model, kind: SemanticsKind) -> None:
 # -- naive recursive checker (oracle) --
 
 def check_naive(m: Model, state: str, f: Formula, kind: SemanticsKind) -> bool:
-    _program(m, f, kind)
+    _program(m, f, kind)   # refuses a node _nv does not know
     _require_mode(m, kind)
     m.state_index(state)   # refuses an unknown state
     return _nv(m, state, f, kind)
@@ -92,7 +92,6 @@ def _nv(m: Model, s: str, f: Formula, kind: SemanticsKind) -> bool:
         upd = update(m, f.announced, kind, pre)
         image = update_image(kind, pre, m.n, m.state_index(s))
         return _nv(upd, upd.states[image], f.sub, kind)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # -- model updates --

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from depthlogic import muddy
 from depthlogic.model import (EQUIVALENCE, Model, ModelError, PointedModel,
                               canonical_json)
 from depthlogic.muddy import build_muddy, canonical_depths, phi_k
@@ -115,9 +116,6 @@ def test_restrict_equals_validated(three_world_model):
     for m in models:
         keep = rng.sample(range(m.n), rng.randint(1, m.n))
         assert_same_as_validated(m.restrict(keep))
-        depth = {a: [rng.randint(0, 3) for _ in keep]
-                 for a in range(m.agents)}
-        assert_same_as_validated(m.restrict(keep, depth))
 
 
 def test_sat_candidates_equal_validated():
@@ -173,6 +171,30 @@ def test_updates_skip_the_validating_paths(monkeypatch):
     monkeypatch.setattr(Model, "restrict", refuse)
     for upd in (update_dpal, update_edpal, update_adpal):
         assert upd(m, phi).states
+
+
+
+def test_sweep_variants_equal_validated(monkeypatch):
+    # each depth variant the lower-bound sweep checks is built from M_k's
+    # columns with no validating path, and equals its validated rebuild
+    seen = []
+
+    def capture(m, state, f, kind):
+        seen.append(m)
+        return check(m, state, f, kind)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep variant was re-validated")
+
+    monkeypatch.setattr(muddy, "check", capture)
+    monkeypatch.setattr(Model, "restrict", refuse)
+    report = muddy.lower_bound_sweep(3, max_depth=2)
+    assert (report.cases, report.violations) == (27, 0)
+    variants = list({id(m): m for m in seen}.values())   # in check order
+    assert len(variants) == 27
+    for m, values in zip(variants, itertools.product(range(3), repeat=3)):
+        assert_same_as_validated(m)
+        assert all(m.depths(a) == (d,) * m.n for a, d in enumerate(values))
 
 
 # -- DPAL products built on first read --

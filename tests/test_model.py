@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthlogic import model as model_module
 from depthlogic.model import (
     REFLEXIVE,
     Model,
@@ -180,10 +181,10 @@ class TestClassIds:
                   mode="reflexive")
 
     def test_restrict_keeps_classes_and_takes_depths(self):
-        m = chain_model().restrict([0, 2], {0: [3, 3]})
+        m = chain_model().restrict([0, 2])
         assert m.states == ("a", "c")
         assert m.classes(0) == (frozenset({"a", "c"}),)
-        assert m.depth(0, "c") == 3 and m.atoms("a") == {"p"}
+        assert m.depth(0, "c") == 0 and m.atoms("a") == {"p"}
 
 
 class TestSuccessorSets:
@@ -282,6 +283,28 @@ class TestSerialization:
         assert canonical_json(m) == canonical_json(model_from_dict(plain))
         assert to_dict(m)["rel"]["0"] == [["a", "b"], ["a", "c"], ["b", "a"],
                                           ["b", "c"], ["c", "a"], ["c", "b"]]
+
+    def test_written_dpal_step_loads_its_ids_as_given(self, tmp_path,
+                                                      monkeypatch):
+        # a closed relation's least successors are first-index class ids
+        # already: loading takes them with no renumbering pass
+        m = build_muddy(4, 4, canonical_depths(4)).model
+        step = update_dpal(m, next(g.announced for g in walk(phi_k(4))
+                                   if isinstance(g, Announce)))
+        assert step.n > m.n   # the announcement holds somewhere: copies
+        path = tmp_path / "step.json"
+        save_model(step, str(path))
+
+        def renumber(column):
+            raise AssertionError("loaded ids renumbered")
+
+        monkeypatch.setattr(model_module, "_first_index_ids", renumber)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_model(str(path))
+        assert canonical_json(loaded) == canonical_json(step)
+        assert all(loaded.class_ids(a) == step.class_ids(a)
+                   for a in range(step.agents))
 
     def test_negative_depths_load(self):
         text = canonical_json(chain_model()).replace('"a": 0', '"a": -2')
@@ -386,9 +409,6 @@ class TestDepthsByIndex:
         assert m.states == ("d", "a")
         assert [m.depth(0, s) for s in m.states] == [3, 1]
         assert [m.depth(1, s) for s in m.states] == [0, 0]
-        m = shuffled.restrict([2, 1], {0: [7, 8], 1: (9, 6)})
-        assert (m.depth(0, "c"), m.depth(0, "b")) == (7, 8)
-        assert (m.depth(1, "c"), m.depth(1, "b")) == (9, 6)
 
     def test_updates_bind_depths_to_copies(self, shuffled):
         announced = Know(1, Atom("p"))   # modal depth 1, true at a and c
@@ -433,20 +453,6 @@ class TestRestrictRefuses:
         for keep in ([3], [-1], [1, 1]):
             with pytest.raises(ModelError):
                 three_world_model.restrict(keep)
-
-    @pytest.mark.parametrize("depth", [{0: [1]}, {0: (1, 2, 3)}])
-    def test_depth_of_wrong_length(self, depth):
-        with pytest.raises(ModelError, match="one depth per state"):
-            chain_model().restrict([0, 2], depth)
-
-    @pytest.mark.parametrize("depth", [{1: [0, 0]}, {-1: [0, 0]}])
-    def test_depth_for_unknown_agent(self, depth):
-        with pytest.raises(ModelError, match="unknown agent"):
-            chain_model().restrict([0, 2], depth)
-
-    def test_depth_for_unknown_state(self):
-        with pytest.raises(ModelError, match="unknown state 'b'"):
-            chain_model().restrict([0, 2], {0: {"a": 1, "b": 2}})
 
 
 def stdlib_json(m: Model) -> str:

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from depthlogic import props
-from depthlogic.model import canonical_json, validate
+from depthlogic.model import Model, canonical_json, validate
 from depthlogic.props import (
     TABLE_DPAL_SOUND,
     TABLE_EDPAL,
@@ -30,7 +30,9 @@ from depthlogic.props import (
 )
 from depthlogic.semantics import SemanticsKind, check, check_naive
 from depthlogic.syntax import (
+    TOP,
     Announce,
+    Atom,
     DepthAtLeast,
     DepthExact,
     Know,
@@ -251,3 +253,20 @@ def test_minimize_lets_a_checker_error_through(monkeypatch):
     monkeypatch.setattr(props, "check_naive", failing_second_call)
     with pytest.raises(RuntimeError, match="checker bug"):
         minimize(m, s, f, SemanticsKind.DPAL)
+
+
+def test_run_minimizes_the_failing_member_in_the_middle_of_a_pool():
+    # the first instance holds on the pool's first and last models and fails
+    # at y on the middle one; the second holds on all three
+    p = Atom("p")
+    holds = Model(1, ["a", "b"], {"a": ["p"], "b": ["p"]})
+    fails = Model(1, ["x", "y", "z"], {"x": ["p"], "z": ["p"]},
+                  class_ids={0: [0, 0, 0]})
+    pool = [holds, fails, Model(1, ["c"], {"c": ["p"]})]
+    draws = iter([("first", p, pool), ("second", TOP, pool)])
+    report = props._run(props.SuiteReport("pool", SemanticsKind.DPAL),
+                        draws, max_violations=5)
+    assert (report.cases, report.checks) == (2, 5)
+    [v] = report.violations
+    assert (v.schema, v.formula, v.state) == ("first", p, "y")
+    assert canonical_json(v.model) == canonical_json(fails.restrict([1]))
