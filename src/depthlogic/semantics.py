@@ -5,18 +5,23 @@ evaluator (the oracle), and ``check``/``check_labeling`` implement the
 bottom-up subformula labeling algorithm by running a post-order program over
 the formula's distinct node objects, compiled once and kept on the formula.
 Labels and updates are not cached across calls; within one, each node
-object is labeled once per model and each (model, announced node object)
-update runs once, unless the announcement holds nowhere: then ``[phi]psi``
-is true everywhere and no update is built.  Each label is one ``int``
-bitmask over the states of its model (bit i for ``states[i]``), so ``!`` and
-``&`` are single integer operations.  ``K``/``Kinf`` drop the classes that
-reach outside the label (equivalence mode) or test each state's successor
-mask (reflexive mode), reading no relation for an empty or full label,
-and ``K`` is gated by the model's cached depth masks, looked up by the keys
-the program carries.  Updates take the announcement's truth as such a mask
-(``pre``) and its modal depth; both checkers, the DOT export and the 3-SAT
-reduction follow states through ``update_image``.  A DPAL or EDPAL update
-is a view of its parent until read, with masks derived from the parent's.
+object is labeled once per model and the bodies of each (model, announced
+node object) once, unless the announcement holds nowhere: then ``[phi]psi``
+is true everywhere and no update is built.  Bodies holding no announcement
+are labeled in the parent's index space from its masks and ``K``, with no
+updated model (``_run_flat``), and a DPAL step that every agent the bodies
+name hears is labeled on the EDPAL update, which the ``1.`` copies make up
+for those agents; the other bodies run on the update.  Each label is one
+``int`` bitmask over the states of its model (bit i for ``states[i]``), so
+``!`` and ``&`` are single integer operations.  ``K``/``Kinf`` drop the
+classes that reach outside the label (equivalence mode) or test each
+state's successor mask (reflexive mode), reading no relation for an empty
+or full label, and ``K`` is gated by the model's cached depth masks, looked
+up by the keys the program carries.  Updates take the announcement's truth
+as such a mask (``pre``) and its modal depth; both checkers, the DOT export
+and the 3-SAT reduction follow states through ``update_image``.  A DPAL or
+EDPAL update is a view of its parent until read, with masks derived from
+the parent's.
 """
 
 from __future__ import annotations
@@ -162,6 +167,30 @@ def _heard(depths: tuple[int, ...], dphi: int) -> tuple[int, ...]:
     return tuple(map(shift.__getitem__, depths))
 
 
+def _heard_mask(mask, key: tuple, dphi: int) -> int:
+    """Mask ``key`` once the agent hears, where deep enough, an announcement
+    of depth dphi (DPAL's ``1.`` copies, ADPAL), from parent masks
+    ``mask(k)``: for d > 0 P(d + dphi) where deep enough and P(d) where not,
+    else the parent's own (a depth then is at least d iff it was before)."""
+    low = mask(key)
+    if key[0] == "atom" or key[2] <= 0:
+        return low
+    _, a, d = key
+    return mask(("depth", a, d + dphi)) | low & ~mask(("depth", a, dphi))
+
+
+def _shifted(key: tuple, dphi: int) -> tuple:
+    """The parent mask an EDPAL update's mask ``key`` reads, as every depth
+    loses dphi: P(d + dphi) for P(d), and an atom's own."""
+    return key if key[0] == "atom" else ("depth", key[1], key[2] + dphi)
+
+
+def _shallow(m: Model, a: int, pre: int, dphi: int) -> int:
+    """The announcement states at which agent a is too shallow to hear it;
+    under DPAL, each class of a holding one links its two copies."""
+    return pre & ~m.depth_mask(a, dphi)
+
+
 _COPY_PREFIX = ("0.", "1.")
 
 
@@ -212,7 +241,7 @@ class _DpalProduct(_View):
         # announcement states; the 1. copies of the others form a class of
         # their own, whose first-index id is the state index of its first
         # 1. copy
-        shallow = pre & ~parent.depth_mask(a, dphi)
+        shallow = _shallow(parent, a, pre, dphi)
         linked = list(compress(ids, _bytes_of(shallow, parent.n))
                       if shallow else ())
         first = dict(zip(linked, linked))
@@ -233,16 +262,11 @@ class _DpalProduct(_View):
 
     def mask(self, key: tuple) -> int:
         """The product's mask from its parent's: the 0. copies keep the
-        parent's bits; the 1. copies take, packed, those at ``pre`` of the
-        same mask, or for d > 0 of P(d + dphi) where the agent is deep
-        enough to hear the announcement and of P(d) where it is not."""
-        masks = self.parent._masks
-        low = high = masks[key]
-        if key[0] == "depth" and key[2] > 0:
-            _, a, d = key
-            high = (masks["depth", a, d + self.dphi]
-                    | low & ~masks["depth", a, self.dphi])
-        return low | self.packed(high) << self.parent.n
+        parent's bits; the 1. copies take, packed, those at ``pre`` of
+        ``_heard_mask``."""
+        masks = self.parent._masks.__getitem__
+        return masks(key) | self.packed(
+            _heard_mask(masks, key, self.dphi)) << self.parent.n
 
 
 def update_edpal(m: Model, announced: Formula, pre: int | None = None,
@@ -271,14 +295,12 @@ class _EdpalView(_View):
         return tuple(map(operator.sub, kept, repeat(self.dphi)))
 
     def needs(self, key: tuple) -> tuple[tuple, ...]:
-        """The parent mask ``mask(key)`` reads: P(d + dphi) for P(d)."""
-        if key[0] == "atom":
-            return (key,)
-        return (("depth", key[1], key[2] + self.dphi),)
+        """The parent mask ``mask(key)`` reads (see ``_shifted``)."""
+        return (_shifted(key, self.dphi),)
 
     def mask(self, key: tuple) -> int:
         """The parent's ``needs`` mask, packed at ``pre``."""
-        return self.packed(self.parent._masks[self.needs(key)[0]])
+        return self.packed(self.parent._masks[_shifted(key, self.dphi)])
 
 
 def update_adpal(m: Model, announced: Formula, pre: int | None = None,
@@ -306,16 +328,17 @@ _AND, _NOT, _ATOM, _ANNOUNCE, _DEPTH, _KNOW = range(6)
 
 
 def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
-    """The program ``(code, top_agent, announces)`` over the distinct nodes
+    """The program ``(code, named, announces)`` over the distinct nodes
     under ``roots``, and each node's slot by id (good while they live).
     ``code`` has one instruction per node, in post-order, whose operands are
     earlier slots.  Leaves carry their mask keys (see ``Model._mask``), E(d)
     P(d + 1)'s too; a ``K``, P(``modal_depth`` of its body)'s.  The bodies
     of all announcements of one announced node object form one program, run
-    on the updated model; each such announcement carries the announced node,
-    that program, the node's ``modal_depth`` and its body's slot there.
-    ``top_agent`` is the largest agent index named anywhere, or -1, and
-    ``announces`` whether any node is an announcement."""
+    once per model; each such announcement carries the announced node, that
+    program's code and (see below) ``named`` and ``announces``, the node's
+    ``modal_depth``, and the slots there of all those bodies and its own.
+    ``named`` is the agents named anywhere, sorted, and ``announces``
+    whether any node is an announcement."""
     order, slot, stack = [], {}, roots[::-1]
     bodies: dict[int, list[Formula]] = {}   # by announced node
     while stack:
@@ -333,7 +356,6 @@ def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
             if cls is Announce:
                 bodies.setdefault(id(g.announced), []).append(g.sub)
     groups = {key: _compile(subs) for key, subs in bodies.items()}
-    top = max((prog[1] for prog, _ in groups.values()), default=-1)
     code = []
     for g in order:
         cls = g.__class__
@@ -344,10 +366,11 @@ def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
         elif cls is Atom:
             code.append((_ATOM, ("atom", g.name), g.name == TRUE_ATOM, None))
         elif cls is Announce:
-            (body, *_), body_slot = groups[id(g.announced)]
+            (body, names, nested), body_slot = groups[id(g.announced)]
+            roots = [body_slot[id(h)] for h in bodies[id(g.announced)]]
             code.append((_ANNOUNCE, slot[id(g.announced)],
-                         (g.announced, body, modal_depth(g.announced)),
-                         body_slot[id(g.sub)]))
+                         (g.announced, body, modal_depth(g.announced), roots,
+                          nested, names), body_slot[id(g.sub)]))
         elif cls in (DepthAtLeast, DepthExact):
             code.append((_DEPTH, ("depth", g.agent, g.d),
                          ("depth", g.agent, g.d + 1) if cls is DepthExact
@@ -358,8 +381,9 @@ def _compile(roots: list[Formula]) -> tuple[tuple, dict[int, int]]:
                          else None))
         else:
             raise TypeError(f"not a formula: {g!r}")
-        top = max(top, getattr(g, "agent", -1))
-    return (tuple(code), top, bool(bodies)), slot
+    named = {g.agent for g in order if hasattr(g, "agent")}.union(
+        *(prog[1] for prog, _ in groups.values()))
+    return (tuple(code), tuple(sorted(named)), bool(bodies)), slot
 
 
 @dataclass
@@ -368,8 +392,10 @@ class Labeling:
 
     ``runs`` keeps the model and slots of each program run: first the
     formula's on ``model``, whose last slot is ``root_mask``, then one per
-    (model, announced node object) for the bodies on the updated model, if
-    the announcement holds somewhere (one that holds nowhere adds no run).
+    (model, announced node object) whose bodies announce, on the updated
+    model (for a DPAL step that every agent they name hears, the EDPAL
+    update), if the announcement holds somewhere.  Announcement-free bodies
+    and an announcement that holds nowhere add no run.
     Ids number the slots run by run, in post-order within a run, so each
     node object, leaves included, has one id per model it is labeled on.
     Bit i of ``masks[nid]`` stands for ``states[nid][i]``.  ``masks``,
@@ -453,9 +479,9 @@ def _pull_back(kind: SemanticsKind, pre: int, n: int, body: int) -> int:
 def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
          updates: dict, runs: list) -> list[int]:
     """Run a program on model; returns the slots, also added to ``runs``.
-    ``updates`` maps (model id, announced node id) to the slots of the run
-    on the updated model, for ``[phi]psi`` to read psi.  A mask key is
-    looked up in the model's cache, and ``Model._mask`` called on a miss."""
+    ``updates`` maps (model id, announced node id) to ``_announce``'s
+    result, for ``[phi]psi`` to read.  A mask key is looked up in the
+    model's cache, and ``Model._mask`` called on a miss."""
     n = model.n
     full = (1 << n) - 1
     masks = model._masks
@@ -470,19 +496,17 @@ def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
         elif op == _ATOM:   # the mask of key a, or every state if b
             mask = full if b else masks.get(a)
             put(model._mask(a) if mask is None else mask)
-        elif op == _ANNOUNCE:
+        elif op == _ANNOUNCE:   # [phi]psi, psi at slot c of b's program
             pre = slots[a]
             if not pre:   # [phi]psi holds wherever phi fails: everywhere
                 put(full)
                 continue
-            announced, body, dphi = b
-            key = (id(model), id(announced))
+            key = (id(model), id(b[0]))
             done = updates.get(key)
             if done is None:
-                done = updates[key] = _run(
-                    update(model, announced, kind, pre, dphi), body, kind,
-                    updates, runs)
-            put((pre ^ full) | _pull_back(kind, pre, n, done[c]))
+                done = updates[key] = _announce(model, pre, b, kind, updates,
+                                                runs)
+            put(done[c])
         elif op == _DEPTH:   # P(d) of key a, less P(d + 1) of key b for E
             low = masks.get(a)
             high = 0 if b is None else masks.get(b)
@@ -495,6 +519,90 @@ def _run(model: Model, code: tuple[tuple, ...], kind: SemanticsKind,
     return slots
 
 
+def _announce(model: Model, pre: int, group: tuple, kind: SemanticsKind,
+              updates: dict, runs: list) -> dict[int, int]:
+    """``[phi]psi`` over model by the slot of each body psi of announced
+    node phi, which holds at ``pre``.  A DPAL step that every agent the
+    bodies name hears (none is shallow at ``pre``) is labeled on the EDPAL
+    update, which their ``1.`` copies make up.  Bodies holding no
+    announcement run flat (``_run_flat``), others on the update."""
+    announced, body, dphi, roots, nested, named = group
+    here = kind
+    if kind is SemanticsKind.DPAL and not any(
+            _shallow(model, a, pre, dphi) for a in named):
+        here = SemanticsKind.EDPAL
+    n = model.n
+    out = pre ^ ((1 << n) - 1)
+    if nested:
+        slots = _run(update(model, announced, here, pre, dphi), body, kind,
+                     updates, runs)
+        return {r: out | _pull_back(here, pre, n, slots[r]) for r in roots}
+    slots = _run_flat(model, body, here, pre, dphi)
+    up = n if here is SemanticsKind.DPAL else 0
+    return {r: out | slots[r] >> up for r in roots}
+
+
+def _run_flat(m: Model, code: tuple[tuple, ...], kind: SemanticsKind,
+              pre: int, dphi: int) -> list[int]:
+    """Run an announcement-free program on the update of m at ``pre``
+    without building it, in m's index space: EDPAL and ADPAL states keep
+    their indices, DPAL's ``0.`` and ``1.`` copies of ``states[i]`` sit at
+    bits i and n + i.  Bits of states the update lacks are don't-cares,
+    which each ``K`` overrides.  Adds no run."""
+    flat = (m, kind, pre, dphi)
+    full = (1 << (m.n << (kind is SemanticsKind.DPAL))) - 1
+    slots: list[int] = []
+    put = slots.append
+    for op, a, b, c in code:
+        if op == _AND:
+            put(slots[a] & slots[b])
+        elif op == _NOT:
+            put(slots[a] ^ full)
+        elif op == _ATOM:
+            put(full if b else _flat_mask(flat, a))
+        elif op == _DEPTH:
+            put(_flat_mask(flat, a)
+                ^ (0 if b is None else _flat_mask(flat, b)))
+        else:
+            put(_flat_known(flat, a, slots[b])
+                & (full if c is None else _flat_mask(flat, c)))
+    return slots
+
+
+def _flat_mask(flat: tuple, key: tuple) -> int:
+    """Mask ``key`` of ``_run_flat``'s update."""
+    m, kind, _, dphi = flat
+    if kind is SemanticsKind.EDPAL:
+        return m._mask(_shifted(key, dphi))
+    heard = _heard_mask(m._mask, key, dphi)
+    return heard if kind is SemanticsKind.ADPAL else (m._mask(key)
+                                                      | heard << m.n)
+
+
+def _flat_known(flat: tuple, a: int, sub: int) -> int:
+    """``_known`` on ``_run_flat``'s update, from m's: EDPAL keeps
+    successors in pre; ADPAL, where a hears, those on the state's side;
+    DPAL joins the copies' answers on a's classes a shallow pre state
+    links."""
+    m, kind, pre, dphi = flat
+    full = (1 << m.n) - 1
+    out = pre ^ full
+    if kind is SemanticsKind.EDPAL:
+        return _known(m, a, sub | out)
+    if kind is SemanticsKind.ADPAL:
+        deep = m.depth_mask(a, dphi)
+        return (_known(m, a, sub) & ~deep
+                | _known(m, a, sub | out) & deep & pre
+                | _known(m, a, sub | pre) & deep & out)
+    low = _known(m, a, sub & full)
+    high = _known(m, a, sub >> m.n | out)
+    shallow = _shallow(m, a, pre, dphi)
+    if shallow:   # the classes meeting shallow, as complement
+        apart = _known(m, a, full ^ shallow)
+        low, high = low & (apart | high), high & (apart | low)
+    return low | high << m.n
+
+
 def _program(m: Model, f: Formula, kind: SemanticsKind) -> tuple:
     """f's compiled program (kept on f), once f names no agent m lacks and,
     under DBEL, holds no announcement."""
@@ -502,8 +610,8 @@ def _program(m: Model, f: Formula, kind: SemanticsKind) -> tuple:
     if prog is None:
         prog = _compile([f])[0]
         object.__setattr__(f, "_program", prog)
-    if prog[1] >= m.agents:
-        raise ModelError(f"formula names unknown agent {prog[1]}")
+    if prog[1] and prog[1][-1] >= m.agents:
+        raise ModelError(f"formula names unknown agent {prog[1][-1]}")
     if prog[2] and kind is SemanticsKind.DBEL:
         raise FragmentError("DBEL formulas cannot contain announcements")
     return prog
@@ -513,11 +621,13 @@ def check_labeling(m: Model, f: Formula, kind: SemanticsKind) -> Labeling:
     """Label f's subformulas bottom-up, each node object once per model.
 
     f keeps its compiled program for later checks on any model.  Within a
-    call each (model, announced node object) update runs once, and none for
-    an announcement that holds nowhere; ``K`` over an empty or full body
-    reads no relation.  The update memo is keyed by ids, unique while it
-    lives (the program holds every node, ``runs`` every updated model), and
-    is dropped on return with the labels."""
+    call the bodies of each (model, announced node object) are labeled
+    once: on the update if they announce (maybe DPAL's on the EDPAL one),
+    else with none built; none for an announcement that holds nowhere.
+    ``K`` over an empty or full body reads no relation.  The update memo
+    is keyed by ids, unique while it lives (the program holds every node,
+    ``runs`` every updated model), and is dropped on return with the
+    labels."""
     prog = _program(m, f, kind)
     _require_mode(m, kind)
     runs: list[tuple[Model, list[int]]] = []

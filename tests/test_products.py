@@ -5,16 +5,19 @@ for the same columns."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthlogic import muddy
+from depthlogic import muddy, semantics
 from depthlogic.model import (EQUIVALENCE, REFLEXIVE, Model, canonical_json,
                               mask_of)
-from depthlogic.semantics import (check_labeling, check_naive, update_adpal,
-                                  update_dpal, update_edpal)
-from depthlogic.syntax import Atom, Know, parse
+from depthlogic.props import RandomSpec, random_formula
+from depthlogic.semantics import (SemanticsKind, check_labeling, check_naive,
+                                  update_adpal, update_dpal, update_edpal)
+from depthlogic.syntax import TOP, Atom, Know, parse
 from test_derived import (KINDS, assert_same_as_validated, holds_on_to,
                           rebuilt)
 
@@ -230,3 +233,35 @@ def test_reduction_final_model_drops_its_parents(monkeypatch):
     final = muddy._FINAL_CACHE[3][0]
     assert final is steps[-1][0] and len(steps) > 2
     assert not any(holds_on_to(final, m) for m, _ in steps[:-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(models(), models(REFLEXIVE)), st.integers(0, 2 ** 40),
+       st.integers(0, 3), st.randoms(use_true_random=False))
+def test_flat_bodies_label_as_on_the_update(m, seed, dphi, rng):
+    # announcement-free programs run in the parent's index space, at an
+    # arbitrary pre, pulled back, label as on the update itself; under
+    # DPAL, where no agent they name is shallow at pre, as under EDPAL
+    pre = seed % (1 << m.n)
+    full = (1 << m.n) - 1
+    kinds = KINDS if m.mode == EQUIVALENCE else (SemanticsKind.ADPAL,)
+    for _ in range(20):
+        f = random_formula(rng, RandomSpec(agents=m.agents), kinf=True)
+        (code, named, _), _ = semantics._compile([f])
+        for kind in kinds:
+            flat = semantics._run_flat(m, code, kind, pre, dphi)
+            on = semantics._run(semantics.update(m, TOP, kind, pre, dphi),
+                                code, kind, {}, [])
+            pull = partial(semantics._pull_back, kind, pre, m.n)
+            if kind is SemanticsKind.ADPAL:
+                assert flat == on
+            elif kind is SemanticsKind.EDPAL:
+                assert [x & pre for x in flat] == list(map(pull, on))
+            else:
+                assert [x & full for x in flat] == [x & full for x in on]
+                assert [x >> m.n & pre for x in flat] == list(map(pull, on))
+                if not any(semantics._shallow(m, a, pre, dphi)
+                           for a in named):
+                    eager = semantics._run_flat(m, code, SemanticsKind.EDPAL,
+                                                pre, dphi)
+                    assert [x & pre for x in eager] == list(map(pull, on))

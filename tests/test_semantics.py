@@ -20,6 +20,7 @@ from depthlogic.muddy import (
     amnesia_formula,
     build_muddy,
     canonical_depths,
+    constant_depths,
     leakage_formula,
     phi_k,
     upper_bound_hypothesis,
@@ -471,19 +472,50 @@ class TestLabelingMemo:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_shared_announcement_updates_once(self, kind, monkeypatch):
+        # the bodies announce, so they run on the updated model
         calls = _counting_update(monkeypatch)
         m = build_muddy(3, 3, canonical_depths(3)).model
         phi = parse("!K[2] m2")
-        shared = And(Announce(phi, Atom("m0")), Announce(phi, Atom("m1")))
+        bodies = [Announce(Atom("m1"), Atom("m0")),
+                  Announce(Atom("m0"), Atom("m1"))]
+        shared = And(*(Announce(phi, body) for body in bodies))
         lab = check_labeling(m, shared, kind)
         assert calls == [phi]
         calls.clear()
-        distinct = And(Announce(phi, Atom("m0")),
-                       Announce(parse("!K[2] m2"), Atom("m1")))
+        distinct = And(Announce(phi, bodies[0]),
+                       Announce(parse("!K[2] m2"), bodies[1]))
         assert distinct == shared
         again = check_labeling(m, distinct, kind)
         assert len(calls) == 2
         assert again.table[again.root] == lab.table[lab.root]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_flat_bodies_label_once_without_an_update(self, kind,
+                                                      monkeypatch):
+        # announcement-free bodies run in the parent's index space, once
+        # per (model, announced node object), and add no run
+        calls = _counting_update(monkeypatch)
+        flat = []
+        real = semantics._run_flat
+
+        def counted(m, code, *args):
+            flat.append(code)
+            return real(m, code, *args)
+
+        monkeypatch.setattr(semantics, "_run_flat", counted)
+        m = build_muddy(3, 3, canonical_depths(3)).model
+        phi = parse("!K[2] m2")
+        shared = And(Announce(phi, Atom("m0")), Announce(phi, Atom("m1")))
+        lab = check_labeling(m, shared, kind)
+        assert len(flat) == 1 and len(lab.runs) == 1
+        flat.clear()
+        distinct = And(Announce(phi, Atom("m0")),
+                       Announce(parse("!K[2] m2"), Atom("m1")))
+        again = check_labeling(m, distinct, kind)
+        assert len(flat) == 2 and len(again.runs) == 1
+        assert calls == []
+        assert again.root_mask == lab.root_mask == _agrees_with_naive(
+            m, shared, kind).root_mask
 
     def test_nothing_cached_across_calls(self, monkeypatch):
         calls = _counting_update(monkeypatch)
@@ -706,7 +738,8 @@ class TestLabelingMasks:
         _agrees_with_naive(m, f, kind)
 
     def test_phi_five_under_dpal(self):
-        m = build_muddy(5, 5, canonical_depths(5)).model
+        # at depth 0 every child is too shallow, so the products are built
+        m = build_muddy(5, 5, constant_depths([0] * 5)).model
         lab = _agrees_with_naive(m, phi_k(5), SemanticsKind.DPAL)
         assert max(map(len, lab.states.values())) > 64
 
@@ -735,6 +768,42 @@ class TestLabelingMasks:
                        for s in m.states}
         assert list(row) == list(m.states)
         assert all(lab.truth(s) is row[s] for s in m.states)
+
+
+class TestHeardSteps:
+    """A DPAL step whose bodies name only agents deep enough to hear the
+    announcement at every announcement state is labeled on the EDPAL
+    update; one naming a shallow agent builds the product."""
+
+    @pytest.fixture
+    def updates(self, monkeypatch):
+        calls = []
+        for name in ("update_dpal", "update_edpal"):
+            def counted(*args, _name=name, _real=getattr(semantics, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(semantics, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_canonical_phi_k_builds_no_product(self, k, updates):
+        inst = build_muddy(k, k, canonical_depths(k))
+        lab = check_labeling(inst.model, phi_k(k), SemanticsKind.DPAL)
+        # the k - 2 outer steps run on EDPAL views, the innermost flat
+        assert updates == ["update_edpal"] * (k - 2)
+        assert lab.truth(inst.initial)
+        _agrees_with_naive(inst.model, phi_k(k), SemanticsKind.DPAL)
+        assert [len(m.states) for m, _ in lab.runs] == [
+            2 ** k - 1 - (2 ** j - 1) for j in range(k - 1)]
+
+    def test_amnesia_still_builds_a_product(self, updates):
+        inst = build_muddy(3, 3, canonical_depths(3))
+        f = amnesia_formula()
+        lab = check_labeling(inst.model, f, SemanticsKind.DPAL)
+        # child 2, at depth 0, is too shallow for !K[2] m2
+        assert updates == ["update_dpal"]
+        assert not lab.truth(inst.initial)
+        _agrees_with_naive(inst.model, f, SemanticsKind.DPAL)
 
 
 def test_f_transform_true_on_three_world_fixture():

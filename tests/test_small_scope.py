@@ -13,7 +13,8 @@ from depthlogic.model import REFLEXIVE, Model
 from depthlogic.sat import enumerate_models
 from depthlogic.semantics import SemanticsKind, check_labeling, check_naive
 from depthlogic.syntax import (TOP, And, Announce, Atom, DepthAtLeast,
-                               DepthExact, Know, KnowInf, Not, to_text)
+                               DepthExact, Know, KnowInf, Not, parse,
+                               to_text)
 
 MAX_SIZE = 2
 AGENTS = DEPTHS = (0, 1)
@@ -55,9 +56,11 @@ def reflexive_models() -> list[Model]:
             for r0, r1 in itertools.product(relations, repeat=2)]
 
 
-def test_labeling_matches_the_oracle_on_every_small_case():
-    pool = [f for n in range(1, MAX_SIZE + 1) for f in formulas(n)]
-    assert len(pool) == len(set(pool)) == 60
+def cross_check(pool: list) -> tuple[int, list]:
+    """Checks and mismatches of ``check_labeling`` against ``check_naive``
+    for each formula of pool at every state of every small case: the
+    equivalence models under three semantics, the reflexive ones under
+    ADPAL."""
     cases = [(m, kind) for m in equivalence_models() for kind in KINDS]
     cases += [(m, SemanticsKind.ADPAL) for m in reflexive_models()]
     checks, mismatches = 0, []
@@ -68,7 +71,35 @@ def test_labeling_matches_the_oracle_on_every_small_case():
                 checks += 1
                 if bool(mask >> i & 1) != check_naive(m, s, f, kind):
                     mismatches.append((kind.value, to_text(f), m, s))
+    return checks, mismatches
+
+
+def test_labeling_matches_the_oracle_on_every_small_case():
+    pool = [f for n in range(1, MAX_SIZE + 1) for f in formulas(n)]
+    assert len(pool) == len(set(pool)) == 60
+    checks, mismatches = cross_check(pool)
     assert mismatches[:5] == []
     # 60 formulas at the 520 states of the 264 equivalence models under
     # three semantics, and at the 2,048 of the 1,024 reflexive ones
     assert checks == 216_480
+
+
+# announced formulas of modal depth 0, 1 and 2: at depths 0..1 an agent of
+# depth 0 is too shallow for depth 1, so DPAL copies link, and every state
+# is too shallow for depth 2, which keeps its depth bounds
+ANNOUNCED = [parse(t) for t in ("p", "P[0,1]", "K[0] p", "!K[1] p",
+                                "K[1] K[0] p")]
+BODIES = [parse(t) for t in ("K[0] p", "K[1] p", "K[0] K[1] p",
+                             "Kinf[1] K[0] p", "P[0,1]", "E[1,0]")]
+# one nested level; each names agent 0 only inside its nested announcement
+NESTED = [parse(t) for t in ("[p] K[0] p", "[!K[0] p] K[0] p",
+                             "[p] P[0,1]")]
+
+
+def test_announcements_match_the_oracle_on_every_small_case():
+    pool = [Announce(psi, chi) for psi in ANNOUNCED
+            for chi in BODIES + NESTED]
+    checks, mismatches = cross_check(pool)
+    assert mismatches[:5] == []
+    # 45 formulas at the 3,608 states of the cases above
+    assert checks == 45 * 3_608
