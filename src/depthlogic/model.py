@@ -32,10 +32,10 @@ and masks from its parent's, depth tuples only when read.
 
 For the labeling checker a model also offers sets of states as ``int``
 bitmasks, bit i standing for ``states[i]``: per atom, per (agent, depth
-bound) and per state's successors.  Each is built on first use and cached,
-since models are immutable.  ``mask_of``, ``flags_of`` and ``bits_of``
-convert masks at C level, with no Python call per state, through a mask's
-bytes form: a 0/1 byte per state.
+bound), per class and per state's successors.  Each is built on first
+use and cached, since models are immutable.  ``mask_of``, ``flags_of``
+and ``bits_of`` convert masks at C level, with no Python call per state,
+through a mask's bytes form: a 0/1 byte per state.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from __future__ import annotations
 import json
 import warnings
 from collections import Counter
-from collections.abc import (Hashable, Iterable, Iterator, Mapping,
-                             Sequence)
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -52,6 +51,7 @@ from operator import add, floordiv, lt, mod, mul, ne
 
 EQUIVALENCE = "equivalence"
 REFLEXIVE = "reflexive"
+SMALL = 64   # states, see ``Model.small``
 
 
 class ModelError(ValueError):
@@ -73,7 +73,7 @@ class Model:
     """
 
     __slots__ = ("agents", "n", "mode", "_states", "_val", "_ids", "_depth",
-                 "_index", "_succ", "_masks", "_source")
+                 "_index", "_succ", "_blocks", "_masks", "_source")
 
     def __init__(self,
                  agents: int,
@@ -183,6 +183,7 @@ class Model:
         self._depth = depth
         self._index = index
         self._succ = succ
+        self._blocks: dict[int, dict[int, int]] = {}
         self._masks: dict[tuple, int] = {}
         self._source = source
 
@@ -317,14 +318,28 @@ class Model:
 
     def successor_masks(self, agent: int) -> tuple[int, ...]:
         """Per state index, the agent's ``successors`` of that state as a
-        mask: stored in reflexive mode, one per class in equivalence mode."""
+        mask: stored in reflexive mode, its block in equivalence mode."""
         masks = self._succ.get(agent)
         if masks is None:
-            ids = self.class_ids(agent)
-            bit = (1).__lshift__
-            members = {c: sum(map(bit, js)) for c, js in _members(ids).items()}
-            masks = self._succ[agent] = tuple(map(members.__getitem__, ids))
+            masks = self._succ[agent] = tuple(map(
+                self.blocks(agent).__getitem__, self.class_ids(agent)))
         return masks
+
+    def blocks(self, agent: int) -> dict[int, int]:
+        """Per class id, in order, the agent's class as a mask: the blocks of
+        its partition (equivalence mode), built on read, kept if ``small``."""
+        blocks = self._blocks.get(agent)
+        if blocks is None:
+            blocks = {c: sum(map((1).__lshift__, js))
+                      for c, js in _members(self.class_ids(agent)).items()}
+            if self.small():
+                self._blocks[agent] = blocks
+        return blocks
+
+    def small(self) -> bool:
+        """Whether ``K`` reads blocks: at most ``SMALL`` states (more take
+        quadratic memory), held (a lazy update is read once per agent)."""
+        return self.n <= SMALL and self._source is None
 
     def restrict(self, keep: Sequence[int]) -> Model:
         """The submodel on the states at the indices ``keep``, in that order.

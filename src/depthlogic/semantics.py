@@ -15,13 +15,13 @@ for those agents; the other bodies run on the update.  Each label is one
 ``int`` bitmask over the states of its model (bit i for ``states[i]``), so
 ``!`` and ``&`` are single integer operations.  ``K``/``Kinf`` drop the
 classes that reach outside the label (equivalence mode) or test each
-state's successor mask (reflexive mode), reading no relation for an empty
-or full label, and ``K`` is gated by the model's cached depth masks, looked
-up by the keys the program carries.  Updates take the announcement's truth
-as such a mask (``pre``) and its modal depth; both checkers, the DOT export
-and the 3-SAT reduction follow states through ``update_image``.  A DPAL or
-EDPAL update is a view of its parent until read, with masks derived from
-the parent's.
+state's successor mask (reflexive mode), on a small held model its cached
+blocks or masks one by one, reading no relation for an empty or full
+label; ``K`` is gated by the cached depth masks the program keys.  Updates
+take the announcement's truth as such a mask (``pre``) and its modal depth;
+both checkers, the DOT export and the 3-SAT reduction follow states through
+``update_image``.  A DPAL or EDPAL update is a view of its parent until
+read, with masks derived from the parent's.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ class SemanticsKind(Enum):
     ADPAL = "ADPAL"
 
 
+_DBEL, _DPAL, _EDPAL, _ADPAL = SemanticsKind   # module names read faster
+
+
 class FragmentError(ValueError):
     pass
 
@@ -60,7 +63,7 @@ _NO_DBEL_UPDATE = "DBEL has no announcement update"
 
 def _require_mode(m: Model, kind: SemanticsKind) -> None:
     # ADPAL accepts both modes; equivalence models are demoted on update.
-    if kind is not SemanticsKind.ADPAL and m.mode != EQUIVALENCE:
+    if kind is not _ADPAL and m.mode != EQUIVALENCE:
         raise ModeError(f"{kind.value} requires an equivalence-mode model")
 
 
@@ -106,11 +109,11 @@ def update(m: Model, announced: Formula, kind: SemanticsKind,
     """The model after announcing ``announced``.  ``pre`` is where it holds,
     as a mask over ``m.states`` (bit i for ``states[i]``), and ``dphi`` its
     ``modal_depth``; None computes them (``pre`` with ``check_labeling``)."""
-    if kind is SemanticsKind.DPAL:
+    if kind is _DPAL:
         return update_dpal(m, announced, pre, dphi)
-    if kind is SemanticsKind.EDPAL:
+    if kind is _EDPAL:
         return update_edpal(m, announced, pre, dphi)
-    if kind is SemanticsKind.ADPAL:
+    if kind is _ADPAL:
         return update_adpal(m, announced, pre, dphi)
     raise FragmentError(_NO_DBEL_UPDATE)
 
@@ -122,13 +125,13 @@ def update_image(kind: SemanticsKind, pre: int, n: int, i: int) -> int | None:
     which follow the n ``0.`` copies in state order, and the others to their
     ``0.`` copies; EDPAL keeps just the announcement states, in order; ADPAL
     keeps every state in place."""
-    if kind is SemanticsKind.DBEL:
+    if kind is _DBEL:
         raise FragmentError(_NO_DBEL_UPDATE)
     if not 0 <= i < n:
         raise ModelError(f"no state at index {i!r} (the model has {n})")
-    if kind is SemanticsKind.ADPAL:
+    if kind is _ADPAL:
         return i
-    dpal = kind is SemanticsKind.DPAL
+    dpal = kind is _DPAL
     if not pre >> i & 1:
         return i if dpal else None
     # an announcement state's rank among pre's set bits
@@ -151,13 +154,14 @@ def announcement_steps(m: Model, announcements: list[Formula],
 
 
 def _pre(m: Model, announced: Formula, kind: SemanticsKind,
-         pre: int | None, dphi: int | None) -> tuple[int, int]:
-    """``pre`` and ``dphi``, computed as ``update`` says where None, once
-    m's mode suits ``kind``."""
+         pre: int | None, dphi: int | None) -> tuple[int, bytes, int]:
+    """``pre``, also in the bytes form, and ``dphi``, computed as ``update``
+    says where None, once m's mode suits ``kind``."""
     _require_mode(m, kind)
     if pre is None:
         pre = check_labeling(m, announced, kind).root_mask
-    return pre, modal_depth(announced) if dphi is None else dphi
+    return (pre, _bytes_of(pre, m.n),
+            modal_depth(announced) if dphi is None else dphi)
 
 
 def _heard(depths: tuple[int, ...], dphi: int) -> tuple[int, ...]:
@@ -218,8 +222,7 @@ def update_dpal(m: Model, announced: Formula, pre: int | None = None,
     the states satisfying the announcement.  Per agent, the copies of a class
     stay classes, and the two merge iff the agent is too shallow to perceive
     the announcement at one of the class's announcement states."""
-    pre, dphi = _pre(m, announced, SemanticsKind.DPAL, pre, dphi)
-    heard = _bytes_of(pre, m.n)
+    pre, heard, dphi = _pre(m, announced, _DPAL, pre, dphi)
     val = m.valuation()   # the 1. copies follow the n 0. copies
     return Model._derived(
         m.agents, None, val + tuple(compress(val, heard)), {}, EQUIVALENCE,
@@ -273,8 +276,7 @@ def update_edpal(m: Model, announced: Formula, pre: int | None = None,
                  dphi: int | None = None) -> Model:
     """Eager update: restrict to announcement states, decrement every depth
     unconditionally (possibly below zero)."""
-    pre, dphi = _pre(m, announced, SemanticsKind.EDPAL, pre, dphi)
-    heard = _bytes_of(pre, m.n)
+    pre, heard, dphi = _pre(m, announced, _EDPAL, pre, dphi)
     return Model._derived(
         m.agents, None, tuple(compress(m.valuation(), heard)), {},
         EQUIVALENCE, source=_EdpalView(m, pre, heard, dphi))
@@ -309,8 +311,7 @@ def update_adpal(m: Model, announced: Formula, pre: int | None = None,
     iff the agent is deep enough at s and exactly one endpoint satisfies the
     announcement; depths decrement only where the agent is deep enough.
     Each successor mask left whole is shared with m."""
-    pre, dphi = _pre(m, announced, SemanticsKind.ADPAL, pre, dphi)
-    heard = _bytes_of(pre, m.n)
+    pre, heard, dphi = _pre(m, announced, _ADPAL, pre, dphi)
     keep = (pre ^ ((1 << m.n) - 1), pre)   # by heard: a state's side
     succ = {a: tuple([t if d < dphi or (u := t & keep[h]) == t else u
                       for t, d, h in zip(m.successor_masks(a), m.depths(a),
@@ -452,15 +453,23 @@ def _known(model: Model, agent: int, sub: int) -> int:
     if not sub or sub == full:
         return sub
     out = full ^ sub
+    known = 0
     if model.mode == EQUIVALENCE:
-        # all but the classes with a state outside sub; read from the class
-        # ids, since one full-width mask per class would take memory
-        # quadratic in the size of a DPAL product
-        ids = model.class_ids(agent)
-        leaving = set(compress(ids, _bytes_of(out, model.n)))
-        return full ^ mask_of(map(leaving.__contains__, ids))
-    return mask_of(map(operator.not_, map(
-        out.__and__, model.successor_masks(agent))))
+        if not model.small():   # the ids: blocks take quadratic memory
+            ids = model.class_ids(agent)
+            leaving = set(compress(ids, _bytes_of(out, model.n)))
+            return full ^ mask_of(map(leaving.__contains__, ids))
+        for block in model.blocks(agent).values():   # the blocks missing out
+            if not block & out:
+                known |= block
+        return known
+    succ = model.successor_masks(agent)
+    if not model.small():
+        return mask_of(map(operator.not_, map(out.__and__, succ)))
+    for i, t in enumerate(succ):   # the states whose successors miss out
+        if not t & out:
+            known |= 1 << i
+    return known
 
 
 def _pull_back(kind: SemanticsKind, pre: int, n: int, body: int) -> int:
@@ -468,10 +477,10 @@ def _pull_back(kind: SemanticsKind, pre: int, n: int, body: int) -> int:
     images are, in order, the updated states from n (DPAL) or 0 (EDPAL) on,
     so those bits of ``body`` are deposited into ``pre``'s set bits: written
     MSB first, their digits take the places of ``pre``'s 1s."""
-    if kind is SemanticsKind.ADPAL:
+    if kind is _ADPAL:
         return body & pre
     gaps = bin(pre)[2:].split("1")
-    digits = format(body >> n if kind is SemanticsKind.DPAL else body, "b")
+    digits = format(body >> n if kind is _DPAL else body, "b")
     return int("".join(map(operator.add, gaps, digits.zfill(len(gaps) - 1)))
                + gaps[-1], 2)
 
@@ -528,9 +537,8 @@ def _announce(model: Model, pre: int, group: tuple, kind: SemanticsKind,
     announcement run flat (``_run_flat``), others on the update."""
     announced, body, dphi, roots, nested, named = group
     here = kind
-    if kind is SemanticsKind.DPAL and not any(
-            _shallow(model, a, pre, dphi) for a in named):
-        here = SemanticsKind.EDPAL
+    if kind is _DPAL and not any(_shallow(model, a, pre, dphi) for a in named):
+        here = _EDPAL
     n = model.n
     out = pre ^ ((1 << n) - 1)
     if nested:
@@ -538,7 +546,7 @@ def _announce(model: Model, pre: int, group: tuple, kind: SemanticsKind,
                      updates, runs)
         return {r: out | _pull_back(here, pre, n, slots[r]) for r in roots}
     slots = _run_flat(model, body, here, pre, dphi)
-    up = n if here is SemanticsKind.DPAL else 0
+    up = n if here is _DPAL else 0
     return {r: out | slots[r] >> up for r in roots}
 
 
@@ -550,7 +558,7 @@ def _run_flat(m: Model, code: tuple[tuple, ...], kind: SemanticsKind,
     bits i and n + i.  Bits of states the update lacks are don't-cares,
     which each ``K`` overrides.  Adds no run."""
     flat = (m, kind, pre, dphi)
-    full = (1 << (m.n << (kind is SemanticsKind.DPAL))) - 1
+    full = (1 << (m.n << (kind is _DPAL))) - 1
     slots: list[int] = []
     put = slots.append
     for op, a, b, c in code:
@@ -572,11 +580,10 @@ def _run_flat(m: Model, code: tuple[tuple, ...], kind: SemanticsKind,
 def _flat_mask(flat: tuple, key: tuple) -> int:
     """Mask ``key`` of ``_run_flat``'s update."""
     m, kind, _, dphi = flat
-    if kind is SemanticsKind.EDPAL:
+    if kind is _EDPAL:
         return m._mask(_shifted(key, dphi))
     heard = _heard_mask(m._mask, key, dphi)
-    return heard if kind is SemanticsKind.ADPAL else (m._mask(key)
-                                                      | heard << m.n)
+    return heard if kind is _ADPAL else m._mask(key) | heard << m.n
 
 
 def _flat_known(flat: tuple, a: int, sub: int) -> int:
@@ -587,9 +594,9 @@ def _flat_known(flat: tuple, a: int, sub: int) -> int:
     m, kind, pre, dphi = flat
     full = (1 << m.n) - 1
     out = pre ^ full
-    if kind is SemanticsKind.EDPAL:
+    if kind is _EDPAL:
         return _known(m, a, sub | out)
-    if kind is SemanticsKind.ADPAL:
+    if kind is _ADPAL:
         deep = m.depth_mask(a, dphi)
         return (_known(m, a, sub) & ~deep
                 | _known(m, a, sub | out) & deep & pre
@@ -612,7 +619,7 @@ def _program(m: Model, f: Formula, kind: SemanticsKind) -> tuple:
         object.__setattr__(f, "_program", prog)
     if prog[1] and prog[1][-1] >= m.agents:
         raise ModelError(f"formula names unknown agent {prog[1][-1]}")
-    if prog[2] and kind is SemanticsKind.DBEL:
+    if prog[2] and kind is _DBEL:
         raise FragmentError("DBEL formulas cannot contain announcements")
     return prog
 
