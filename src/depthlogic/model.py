@@ -32,10 +32,10 @@ and masks from its parent's, depth tuples only when read.
 
 For the labeling checker a model also offers sets of states as ``int``
 bitmasks, bit i standing for ``states[i]``: per atom, per (agent, depth
-bound), per class and per state's successors.  Each is built on first
-use and cached, since models are immutable.  ``mask_of``, ``flags_of``
-and ``bits_of`` convert masks at C level, with no Python call per state,
-through a mask's bytes form: a 0/1 byte per state.
+bound) and per state's successors.  Each is built on first use and cached,
+since models are immutable.  ``mask_of``, ``flags_of`` and ``bits_of``
+convert masks at C level, with no Python call per state, through a mask's
+bytes form: a 0/1 byte per state.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from __future__ import annotations
 import json
 import warnings
 from collections import Counter
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import (Hashable, Iterable, Iterator, Mapping,
+                             Sequence)
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -322,12 +323,12 @@ class Model:
         masks = self._succ.get(agent)
         if masks is None:
             masks = self._succ[agent] = tuple(map(
-                self.blocks(agent).__getitem__, self.class_ids(agent)))
+                self._blocks_of(agent).__getitem__, self.class_ids(agent)))
         return masks
 
-    def blocks(self, agent: int) -> dict[int, int]:
-        """Per class id, in order, the agent's class as a mask: the blocks of
-        its partition (equivalence mode), built on read, kept if ``small``."""
+    def _blocks_of(self, agent: int) -> dict[int, int]:
+        """Per class id, in order, the agent's class as a mask (equivalence
+        mode), built on read; kept if ``small``, so callers only read it."""
         blocks = self._blocks.get(agent)
         if blocks is None:
             blocks = {c: sum(map((1).__lshift__, js))
@@ -337,8 +338,8 @@ class Model:
         return blocks
 
     def small(self) -> bool:
-        """Whether ``K`` reads blocks: at most ``SMALL`` states (more take
-        quadratic memory), held (a lazy update is read once per agent)."""
+        """Whether ``K`` reads cached blocks: at most ``SMALL`` states (more
+        take quadratic memory), no lazy update (too few reads repay them)."""
         return self.n <= SMALL and self._source is None
 
     def restrict(self, keep: Sequence[int]) -> Model:

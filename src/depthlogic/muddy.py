@@ -11,8 +11,8 @@ from typing import Callable, Iterator
 from .model import EQUIVALENCE, Model
 # check_naive is unused here, but the traced benchmark wraps
 # muddy.check_naive by name
-from .semantics import (_ADPAL, _DPAL, _EDPAL, SemanticsKind,
-                        announcement_steps, check, check_labeling, check_naive)
+from .semantics import (SemanticsKind, announcement_steps, check,
+                        check_labeling, check_naive)
 from .syntax import (And, Announce, Atom, DepthAtLeast, Formula, Know,
                      KnowInf, Not, TOP, announcement_chain, conj, disj, dual,
                      implies)
@@ -117,7 +117,8 @@ class SweepReport:
 def lower_bound_check(k: int, depth_fn: DepthFn) -> bool:
     """Check phi_k -> (lower bound conclusion) at s_k under DPAL."""
     inst = build_muddy(k, k, depth_fn)
-    return check(inst.model, inst.initial, FORMULAS["lower"](k), _DPAL)
+    return check(inst.model, inst.initial, FORMULAS["lower"](k),
+                 SemanticsKind.DPAL)
 
 
 def lower_bound_sweep(k: int, max_depth: int = 3) -> SweepReport:
@@ -135,10 +136,11 @@ def lower_bound_sweep(k: int, max_depth: int = 3) -> SweepReport:
         model = Model._derived(k, m.states, m.valuation(), depth,
                                EQUIVALENCE, ids=m._ids, index=m._index)
         report.cases += 1
-        if not check(model, base.initial, f, _DPAL):
+        if not check(model, base.initial, f, SemanticsKind.DPAL):
             report.violations += 1
             report.witnesses.append((values, "implication"))
-        if values[0] < k - 1 and check(model, base.initial, phi, _DPAL):
+        if values[0] < k - 1 and check(model, base.initial, phi,
+                                       SemanticsKind.DPAL):
             report.violations += 1
             report.witnesses.append((values, "contrapositive"))
     return report
@@ -176,9 +178,11 @@ def proposition_matrix() -> dict[str, dict[str, bool]]:
     out = {kind.value: {
         "amnesia": check(inst.model, inst.initial, amnesia_formula(), kind),
         "leakage": check(inst.model, inst.initial, leakage_formula(), kind)}
-        for kind in (_DPAL, _EDPAL, _ADPAL)}
+        for kind in (SemanticsKind.DPAL, SemanticsKind.EDPAL,
+                     SemanticsKind.ADPAL)}
     out["ADPAL"]["leakage_shallow"] = check(
-        demoted.model, demoted.initial, leakage_formula(observer=0), _ADPAL)
+        demoted.model, demoted.initial, leakage_formula(observer=0),
+        SemanticsKind.ADPAL)
     return out
 
 
@@ -256,7 +260,8 @@ def reduction_decide(inst: ThreeSatInstance) -> bool:
     table = _FINAL_CACHE.get(n)
     if table is None:
         m, f = reduce_3sat(ThreeSatInstance(n, ((1, 1, 1),)))
-        final, s = announcement_steps(m, announcement_chain(f), _DPAL, "s")[-1]
+        final, s = announcement_steps(m, announcement_chain(f),
+                                      SemanticsKind.DPAL, "s")[-1]
         for a in range(final.agents):   # all built, final drops its parents
             final.class_ids(a)
         i = final.state_index(s)
@@ -268,7 +273,7 @@ def reduction_decide(inst: ThreeSatInstance) -> bool:
         mask = masks.get(cl)
         if mask is None:
             mask = masks[cl] = check_labeling(
-                final, _clause(cl), _DPAL).root_mask
+                final, _clause(cl), SemanticsKind.DPAL).root_mask
         phi &= mask
     return not gate or phi != 0
 

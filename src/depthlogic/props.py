@@ -17,8 +17,7 @@ from itertools import cycle, islice
 from typing import Callable
 
 from .model import EQUIVALENCE, REFLEXIVE, Model
-from .semantics import (_DBEL, _DPAL, _EDPAL, SemanticsKind, check_naive,
-                        holds_everywhere)
+from .semantics import (SemanticsKind, check_naive, holds_everywhere)
 from .syntax import (And, Announce, Atom, DepthAtLeast, DepthExact, Formula,
                      Know, KnowInf, Not, TOP, disj, f_transform, iff,
                      implies, modal_depth, or_, to_text)
@@ -290,7 +289,9 @@ TABLE_ROWS: dict[str, list[AxiomSchema]] = {
     TABLE_DPAL_SOUND: _core_rows(announce=True) + _announce_rows(dpal=True),
 }
 
-_TABLE_KIND = {TABLE_T1: _DBEL, TABLE_EDPAL: _EDPAL, TABLE_DPAL_SOUND: _DPAL}
+_TABLE_KIND = {TABLE_T1: SemanticsKind.DBEL,
+               TABLE_EDPAL: SemanticsKind.EDPAL,
+               TABLE_DPAL_SOUND: SemanticsKind.DPAL}
 
 
 # -- KP/TA instances --
@@ -466,7 +467,7 @@ def amnesia_instance(agent: int, phi: Formula, psi: Formula) -> Formula:
 
 
 def amnesia_suite(spec: RandomSpec, cases: int = 100,
-                  kind: SemanticsKind = _EDPAL,
+                  kind: SemanticsKind = SemanticsKind.EDPAL,
                   max_violations: int = 5) -> SuiteReport:
     """!P[a,d(phi)] -> [phi]!K[a] psi: valid in EDPAL for any phi and psi;
     run under DPAL, the suite finds counterexamples (shallow agents keep
@@ -545,7 +546,7 @@ def find_composition_counterexample(spec: RandomSpec, attempts: int = 5000
             chi = random_formula(rng, small, rng.randint(1, 4), announce=True)
             yield "composition", composition_instance(phi, psi, chi), (m,)
 
-    report = _run(SuiteReport("composition", _DPAL), draws(), 1)
+    report = _run(SuiteReport("composition", SemanticsKind.DPAL), draws(), 1)
     if not report.violations:
         return None
     v = report.violations[0]
@@ -562,10 +563,11 @@ def necessitation_probe(spec: RandomSpec, cases: int = 40,
     def draws():
         for _ in range(cases * 500):
             f = random_formula(rng, spec)
-            if all(holds_everywhere(m, f, _DBEL)[0] for m in pool):
+            if all(holds_everywhere(m, f, SemanticsKind.DBEL)[0]
+                   for m in pool):
                 a = rng.randrange(spec.agents)
                 g = implies(DepthAtLeast(a, modal_depth(f)), Know(a, f))
                 yield "necessitation", g, pool
 
-    return _run(SuiteReport("necessitation", _DBEL),
+    return _run(SuiteReport("necessitation", SemanticsKind.DBEL),
                 islice(draws(), cases), cases)

@@ -14,14 +14,14 @@ name hears is labeled on the EDPAL update, which the ``1.`` copies make up
 for those agents; the other bodies run on the update.  Each label is one
 ``int`` bitmask over the states of its model (bit i for ``states[i]``), so
 ``!`` and ``&`` are single integer operations.  ``K``/``Kinf`` drop the
-classes that reach outside the label (equivalence mode) or test each
-state's successor mask (reflexive mode), on a small held model its cached
-blocks or masks one by one, reading no relation for an empty or full
-label; ``K`` is gated by the cached depth masks the program keys.  Updates
-take the announcement's truth as such a mask (``pre``) and its modal depth;
-both checkers, the DOT export and the 3-SAT reduction follow states through
-``update_image``.  A DPAL or EDPAL update is a view of its parent until
-read, with masks derived from the parent's.
+classes that reach outside the label (equivalence mode, from its cached
+blocks on a small held model) or test each state's successor mask
+(reflexive mode), reading no relation for an empty or full label, and
+``K`` is gated by the model's cached depth masks, looked up by the keys the
+program carries.  Updates take the announcement's truth as such a mask
+(``pre``) and its modal depth; both checkers, the DOT export and the 3-SAT
+reduction follow states through ``update_image``.  A DPAL or EDPAL update
+is a view of its parent until read, with masks derived from the parent's.
 """
 
 from __future__ import annotations
@@ -453,23 +453,21 @@ def _known(model: Model, agent: int, sub: int) -> int:
     if not sub or sub == full:
         return sub
     out = full ^ sub
-    known = 0
     if model.mode == EQUIVALENCE:
-        if not model.small():   # the ids: blocks take quadratic memory
-            ids = model.class_ids(agent)
-            leaving = set(compress(ids, _bytes_of(out, model.n)))
-            return full ^ mask_of(map(leaving.__contains__, ids))
-        for block in model.blocks(agent).values():   # the blocks missing out
-            if not block & out:
-                known |= block
-        return known
-    succ = model.successor_masks(agent)
-    if not model.small():
-        return mask_of(map(operator.not_, map(out.__and__, succ)))
-    for i, t in enumerate(succ):   # the states whose successors miss out
-        if not t & out:
-            known |= 1 << i
-    return known
+        if model.small():   # the cached blocks that miss out
+            known = 0
+            for block in model._blocks_of(agent).values():
+                if not block & out:
+                    known |= block
+            return known
+        # else all but the classes with a state outside sub, from the ids:
+        # blocks would take memory quadratic in a large model, and a lazy
+        # update is read about once per agent, too few reads to repay them
+        ids = model.class_ids(agent)
+        leaving = set(compress(ids, _bytes_of(out, model.n)))
+        return full ^ mask_of(map(leaving.__contains__, ids))
+    return mask_of(map(operator.not_, map(
+        out.__and__, model.successor_masks(agent))))
 
 
 def _pull_back(kind: SemanticsKind, pre: int, n: int, body: int) -> int:
@@ -537,7 +535,8 @@ def _announce(model: Model, pre: int, group: tuple, kind: SemanticsKind,
     announcement run flat (``_run_flat``), others on the update."""
     announced, body, dphi, roots, nested, named = group
     here = kind
-    if kind is _DPAL and not any(_shallow(model, a, pre, dphi) for a in named):
+    if kind is _DPAL and not any(
+            _shallow(model, a, pre, dphi) for a in named):
         here = _EDPAL
     n = model.n
     out = pre ^ ((1 << n) - 1)
@@ -583,7 +582,8 @@ def _flat_mask(flat: tuple, key: tuple) -> int:
     if kind is _EDPAL:
         return m._mask(_shifted(key, dphi))
     heard = _heard_mask(m._mask, key, dphi)
-    return heard if kind is _ADPAL else m._mask(key) | heard << m.n
+    return heard if kind is _ADPAL else (m._mask(key)
+                                         | heard << m.n)
 
 
 def _flat_known(flat: tuple, a: int, sub: int) -> int:

@@ -1,7 +1,8 @@
-"""``K`` read from partition blocks: on a small held model ``_known`` ORs
-the agent's classes, as masks, that miss the complement of the label; on a
-larger one or a lazy update it reads the class ids.  Both reads, and the
-successor masks built from the same blocks, must agree everywhere."""
+"""``K`` read from partition blocks: on a small held equivalence model
+``_known`` ORs the agent's classes, as masks, that miss the complement of
+the label; on a larger one or a lazy update it reads the class ids.  Both
+reads, and the successor masks built from the same blocks, must agree
+everywhere."""
 
 from __future__ import annotations
 
@@ -12,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlogic import muddy
-from depthlogic.model import (REFLEXIVE, SMALL, Model, load_model,
-                              model_from_dict)
+from depthlogic.model import SMALL, Model, load_model, model_from_dict
 from depthlogic.semantics import (SemanticsKind, _known, check_labeling,
                                   update_dpal, update_edpal)
 from depthlogic.syntax import parse
@@ -62,25 +62,8 @@ def test_blocks_answer_k_as_the_class_ids_do(m, data):
                 blocks, ids = known_both_ways(model, a, sub)
                 assert blocks == ids, (a, sub)
             assert model.successor_masks(a) == by_ids(model, a)
-            assert sorted(model.blocks(a).values()) == sorted(
+            assert sorted(model._blocks_of(a).values()) == sorted(
                 set(by_ids(model, a)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, SMALL), st.data())
-def test_reflexive_loop_answers_k_as_the_masks_do(n, data):
-    """In reflexive mode a small model tests each successor mask in a loop,
-    a larger one maps them at C level: the two must agree."""
-    names = [f"s{i}" for i in range(n)]
-    targets = st.lists(st.sampled_from(names), max_size=3)
-    succ = {0: {s: [s, *data.draw(targets)] for s in names}}
-    m = Model(1, names, {}, mode=REFLEXIVE, successors=succ)
-    for _ in range(4):
-        sub = data.draw(st.integers(0, (1 << n) - 1))
-        blocks, masks = known_both_ways(m, 0, sub)
-        assert blocks == masks == sum(
-            1 << i for i, t in enumerate(m.successor_masks(0))
-            if t & sub == t), sub
 
 
 def test_k_reads_blocks_only_on_small_held_models():
@@ -96,14 +79,14 @@ def test_labeling_builds_blocks_on_the_root_model_only():
     model = muddy.build_muddy(5, 5, muddy.canonical_depths(5)).model
     upper = muddy.FORMULAS["upper"](5)
     built = []
-    blocks = Model.blocks
+    blocks = Model._blocks_of
 
     def spy(self, agent):
         built.append(self)
         return blocks(self, agent)
 
     for kind in (SemanticsKind.DPAL, SemanticsKind.EDPAL):
-        with mock.patch.object(Model, "blocks", spy):
+        with mock.patch.object(Model, "_blocks_of", spy):
             lab = check_labeling(model, upper, kind)
         assert lab.truth("11111")
         assert len(lab.runs) > 1 and built
@@ -121,8 +104,8 @@ def test_loaded_relation_answers_k(tmp_path):
     path.write_text(json.dumps(doc))
     for m in (model_from_dict(doc), load_model(str(path))):
         assert m.small()
-        assert list(m.blocks(0).values()) == [0b011, 0b100]
-        assert list(m.blocks(1).values()) == [0b001, 0b110]
+        assert list(m._blocks_of(0).values()) == [0b011, 0b100]
+        assert list(m._blocks_of(1).values()) == [0b001, 0b110]
         assert _known(m, 0, 0b011) == 0b011   # {a, b} is agent 0's class
         assert _known(m, 1, 0b011) == 0b001   # b is linked to c for 1
         for text, want in (("K[0] p", 0b011), ("K[1] p", 0b001)):
